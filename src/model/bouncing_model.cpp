@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/stats.hpp"
-#include "model/cas_model.hpp"
 
 namespace am::model {
 
@@ -16,23 +15,44 @@ const char* to_string(Regime r) noexcept {
   return "?";
 }
 
-BouncingModel::BouncingModel(ModelParams params) : params_(std::move(params)) {}
+BouncingModel::BouncingModel(ModelParams params)
+    : params_(std::move(params)), memo_(std::make_unique<Memo>()) {}
 
-const HandoffEstimate& BouncingModel::handoff_for(std::uint32_t threads) const {
-  auto it = handoff_cache_.find(threads);
-  if (it == handoff_cache_.end()) {
-    // Hold time barely affects the hand-off chain's geometry; use the FAA
-    // local cost as the representative hold.
-    const double hold = params_.local_op_cycles(Primitive::kFaa);
-    it = handoff_cache_
-             .emplace(threads, estimate_handoff(params_, threads, hold))
-             .first;
+BouncingModel::Contention& BouncingModel::contention_for(
+    std::uint32_t threads) const {
+  {
+    const std::lock_guard<std::mutex> lock(memo_->mu);
+    const auto it = memo_->by_threads.find(threads);
+    if (it != memo_->by_threads.end()) return it->second;
   }
-  return it->second;
+  // Hold time barely affects the hand-off chain's geometry; use the FAA
+  // local cost as the representative hold. The evaluation is deterministic,
+  // so when two threads miss on the same count the first insert wins and
+  // the other copy, bit-identical, is dropped.
+  Contention fresh{estimate_handoff(params_, threads,
+                                    params_.local_op_cycles(Primitive::kFaa)),
+                   std::nullopt};
+  const std::lock_guard<std::mutex> lock(memo_->mu);
+  return memo_->by_threads.try_emplace(threads, std::move(fresh))
+      .first->second;
+}
+
+const SharesSuccess& BouncingModel::cas_success_for(
+    std::uint32_t threads) const {
+  Contention& c = contention_for(threads);
+  {
+    const std::lock_guard<std::mutex> lock(memo_->mu);
+    if (c.cas) return *c.cas;
+  }
+  SharesSuccess fresh = cas_success_from_shares(c.handoff.grant_shares);
+  const std::lock_guard<std::mutex> lock(memo_->mu);
+  if (!c.cas) c.cas = std::move(fresh);
+  return *c.cas;
 }
 
 double BouncingModel::mean_transfer(std::uint32_t threads) const {
-  return handoff_for(threads).mean_transfer_cycles;
+  if (threads < 2) return 0.0;
+  return contention_for(threads).handoff.mean_transfer_cycles;
 }
 
 double BouncingModel::crossover_work(Primitive prim,
@@ -54,10 +74,9 @@ double BouncingModel::single_op_latency(Primitive prim, sim::Supply supply,
   return c;
 }
 
-double BouncingModel::energy_per_op(Primitive prim, std::uint32_t threads,
-                                    double work, double latency,
-                                    double attempts,
-                                    const HandoffEstimate& h) const {
+double BouncingModel::energy_per_op(Primitive prim, double work,
+                                    double latency, double attempts,
+                                    const HandoffEstimate* handoff) const {
   const auto& e = params_.energy;
   const double f_hz = params_.freq_ghz * 1e9;
   const double c = params_.local_op_cycles(prim);
@@ -68,12 +87,11 @@ double BouncingModel::energy_per_op(Primitive prim, std::uint32_t threads,
                    spin_cycles * e.core_spin_watts) / f_hz;
   // Uncore events: each line acquisition is one directory lookup plus one
   // transfer (for threads >= 2 on a shared line).
-  const bool transfers = threads >= 2 && needs_exclusive(prim);
-  if (transfers) {
+  if (handoff != nullptr) {
     joules += attempts *
               (e.directory_nj + e.transfer_nj_base +
-               e.transfer_nj_per_hop * h.mean_hops +
-               e.cross_link_nj * h.far_fraction) * 1e-9;
+               e.transfer_nj_per_hop * handoff->mean_hops +
+               e.cross_link_nj * handoff->far_fraction) * 1e-9;
   }
   return joules * 1e9;  // nJ
 }
@@ -97,12 +115,11 @@ Prediction BouncingModel::predict(Primitive prim, std::uint32_t threads,
     out.throughput_mops =
         out.throughput_ops_per_kcycle / 1000.0 * params_.freq_ghz * 1e3;
     out.energy_per_op_nj =
-        energy_per_op(prim, threads, work, out.latency_cycles, 1.0,
-                      handoff_for(threads));
+        energy_per_op(prim, work, out.latency_cycles, 1.0, nullptr);
     return out;
   }
 
-  const HandoffEstimate& ho = handoff_for(threads);
+  const HandoffEstimate& ho = contention_for(threads).handoff;
   const double T = ho.mean_transfer_cycles;
   const double h = T + c;
   out.mean_transfer_cycles = T;
@@ -117,16 +134,18 @@ Prediction BouncingModel::predict(Primitive prim, std::uint32_t threads,
   // grant shares feed the share-aware fixed point: frequent winners see
   // fewer intervening modifications and succeed more often. Under FIFO the
   // rotation is deterministic and exactly one requester per pass succeeds.
+  // Only CAS and CASLOOP read the fixed point, so only they evaluate it.
   const bool randomized = params_.arbitration != sim::Arbitration::kFifo;
-  const SharesSuccess shares_success =
-      randomized ? cas_success_from_shares(ho.grant_shares) : SharesSuccess{};
+  const bool cas = prim == Primitive::kCas || prim == Primitive::kCasLoop;
+  const SharesSuccess* shares_success =
+      randomized && cas ? &cas_success_for(threads) : nullptr;
   double success = 1.0;
   double attempts = 1.0;
   if (prim == Primitive::kCas) {
-    success = randomized ? shares_success.mean_success
+    success = randomized ? shares_success->mean_success
                          : cas_success_deterministic(threads);
   } else if (prim == Primitive::kCasLoop) {
-    const double s = randomized ? shares_success.mean_success
+    const double s = randomized ? shares_success->mean_success
                                 : cas_success_deterministic(threads);
     // Saturated: the line is stolen between attempts, so each completion
     // costs ~1/s acquisitions. Fully drained (w >= 3*w*, the same headroom
@@ -166,7 +185,7 @@ Prediction BouncingModel::predict(Primitive prim, std::uint32_t threads,
       std::vector<double> completion_shares(ho.grant_shares.size(), 0.0);
       for (std::size_t i = 0; i < completion_shares.size(); ++i) {
         completion_shares[i] =
-            ho.grant_shares[i] * shares_success.per_core_success[i];
+            ho.grant_shares[i] * shares_success->per_core_success[i];
       }
       out.fairness_jain = jain_fairness(completion_shares);
     } else {
@@ -185,7 +204,7 @@ Prediction BouncingModel::predict(Primitive prim, std::uint32_t threads,
   const double energy_cycles =
       std::max(out.latency_cycles, n * attempts * h - work);
   out.energy_per_op_nj =
-      energy_per_op(prim, threads, work, energy_cycles, attempts, ho);
+      energy_per_op(prim, work, energy_cycles, attempts, &ho);
   return out;
 }
 
@@ -217,7 +236,7 @@ Prediction BouncingModel::predict_mixed(Primitive write_prim,
     return out;
   }
 
-  const HandoffEstimate& ho = handoff_for(threads);
+  const HandoffEstimate& ho = contention_for(threads).handoff;
   const double T = ho.mean_transfer_cycles;
   const double h_write = T + c_write;                     // writer acquisition
   const double refetch = params_.shared_supply + c_load;  // reader refill
@@ -267,7 +286,7 @@ Prediction BouncingModel::predict_zipf(Primitive prim, std::uint32_t threads,
     return predict(prim, threads, work);
   }
 
-  const HandoffEstimate& ho = handoff_for(threads);
+  const HandoffEstimate& ho = contention_for(threads).handoff;
   const double h = ho.mean_transfer_cycles + c;
   out.mean_transfer_cycles = ho.mean_transfer_cycles;
   out.hold_cycles = h;

@@ -23,9 +23,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 
 #include "atomics/primitives.hpp"
+#include "model/cas_model.hpp"
 #include "model/handoff.hpp"
 #include "model/params.hpp"
 
@@ -55,6 +59,10 @@ struct Prediction {
   double energy_per_op_nj = 0.0;
 };
 
+/// Every method is const and safe to call from many threads at once: one
+/// model per machine can serve all of a process's predictions. The model is
+/// movable but not copyable; a moved-from model may only be destroyed or
+/// assigned to.
 class BouncingModel {
  public:
   explicit BouncingModel(ModelParams params);
@@ -91,7 +99,8 @@ class BouncingModel {
   /// Crossover work w* for a shared-line workload.
   double crossover_work(Primitive prim, std::uint32_t threads) const;
 
-  /// Expected hand-off transfer cost T(N) under the configured arbitration.
+  /// Expected hand-off transfer cost T(N) under the configured arbitration
+  /// (0 below two threads: a lone thread never hands the line off).
   double mean_transfer(std::uint32_t threads) const;
 
   /// Latency of a single op whose line is in a given supply situation —
@@ -103,13 +112,30 @@ class BouncingModel {
   const ModelParams& params() const noexcept { return params_; }
 
  private:
-  const HandoffEstimate& handoff_for(std::uint32_t threads) const;
-  double energy_per_op(Primitive prim, std::uint32_t threads, double work,
-                       double latency, double attempts,
-                       const HandoffEstimate& h) const;
+  /// What the model memoizes per thread count N >= 2.
+  struct Contention {
+    HandoffEstimate handoff;
+    /// Share-aware CAS success over handoff.grant_shares, filled by the
+    /// first CAS/CASLOOP prediction under randomized arbitration.
+    std::optional<SharesSuccess> cas;
+  };
+  /// The memo holds at most `cores` entries, which are never erased, so
+  /// references into it stay valid. The mutex guards lookups and inserts
+  /// only; evaluations run outside it.
+  struct Memo {
+    std::mutex mu;
+    std::map<std::uint32_t, Contention> by_threads;
+  };
+
+  Contention& contention_for(std::uint32_t threads) const;
+  const SharesSuccess& cas_success_for(std::uint32_t threads) const;
+  /// @param handoff the chain each acquisition travels, or nullptr when the
+  ///        line never moves (LOAD, or a single thread).
+  double energy_per_op(Primitive prim, double work, double latency,
+                       double attempts, const HandoffEstimate* handoff) const;
 
   ModelParams params_;
-  mutable std::map<std::uint32_t, HandoffEstimate> handoff_cache_;
+  std::unique_ptr<Memo> memo_;  // behind a pointer: a mutex cannot move
 };
 
 }  // namespace am::model

@@ -12,9 +12,6 @@ namespace am::model {
 namespace {
 // Proximity bias is anchored at the line's home agent (core 0 for the
 // canonical single-line workload), matching Machine::arbitrate.
-double bias_weight(const ModelParams& p, std::uint32_t home, std::uint32_t c) {
-  return std::exp(-p.distance_between(home, c) / p.arbitration_bias);
-}
 constexpr std::uint32_t kHome = 0;
 }  // namespace
 
@@ -42,6 +39,12 @@ HandoffEstimate simulate_handoff(const ModelParams& p, std::uint32_t n,
   if (n == 0 || n > p.cores) {
     throw std::invalid_argument("simulate_handoff: bad core count");
   }
+  const std::size_t stride = p.cores;
+  const std::size_t cells = stride * stride;
+  if (p.transfer.size() < cells || p.hops.size() < cells ||
+      p.is_far.size() < cells || p.distance.size() < cells) {
+    throw std::invalid_argument("simulate_handoff: tables not cores x cores");
+  }
   HandoffEstimate e;
   e.grant_shares.assign(n, 0.0);
   if (n < 2) {
@@ -49,14 +52,46 @@ HandoffEstimate simulate_handoff(const ModelParams& p, std::uint32_t n,
     return e;
   }
 
-  // State: token owner + each core's request arrival time (all always
-  // re-request immediately after their grant completes).
+  // The owner is the only core not waiting: every other core re-requests
+  // the moment its grant completes. So the proximity race needs no waiting
+  // set, each core's weight is computed once, and the race total is a
+  // per-owner constant, summed in the same index order as the race itself.
+  const sim::Arbitration policy = p.arbitration;
+  const bool race = policy != sim::Arbitration::kFifo &&
+                    policy != sim::Arbitration::kNearestFirst;
+  std::vector<double> weight;
+  std::vector<double> race_total;
+  if (race) {
+    weight.resize(n);
+    for (std::uint32_t c = 0; c < n; ++c) {
+      weight[c] =
+          std::exp(-p.distance[kHome * stride + c] / p.arbitration_bias);
+    }
+    race_total.assign(n, 0.0);
+    for (std::uint32_t o = 0; o < n; ++o) {
+      for (std::uint32_t c = 0; c < n; ++c) {
+        if (c != o) race_total[o] += weight[c];
+      }
+    }
+  }
+
+  // State: token owner + each core's request arrival time.
   Xoshiro256 rng(0x9d2c5680);  // same arbitration seed family as the machine
   std::uint32_t owner = 0;
   double now = 0.0;
   std::vector<double> arrival(n, 0.0);
-  std::vector<bool> waiting(n, true);
-  waiting[0] = false;
+  // Earliest-arrived waiter, lowest index on ties; n if none compares.
+  auto oldest_waiter = [&] {
+    std::uint32_t oldest = n;
+    double at = std::numeric_limits<double>::infinity();
+    for (std::uint32_t c = 0; c < n; ++c) {
+      if (c != owner && arrival[c] < at) {
+        at = arrival[c];
+        oldest = c;
+      }
+    }
+    return oldest;
+  };
 
   double sum_t = 0.0;
   double sum_hops = 0.0;
@@ -65,66 +100,53 @@ HandoffEstimate simulate_handoff(const ModelParams& p, std::uint32_t n,
   const std::size_t warmup = n;  // one full pass before counting
 
   for (std::size_t step = 0; step < steps + warmup; ++step) {
-    // Pick the next grantee among waiters.
     std::uint32_t next = n;
-    double oldest = std::numeric_limits<double>::infinity();
-    std::uint32_t oldest_core = n;
-    for (std::uint32_t c = 0; c < n; ++c) {
-      if (waiting[c] && arrival[c] < oldest) {
-        oldest = arrival[c];
-        oldest_core = c;
-      }
-    }
-    if (oldest_core == n) break;  // nobody waiting (cannot happen for n >= 2)
-
-    if (p.arbitration == sim::Arbitration::kFifo) {
-      next = oldest_core;
-    } else if (p.arbitration == sim::Arbitration::kNearestFirst) {
-      if (p.aging_limit > 0 && now - oldest > p.aging_limit) {
-        next = oldest_core;
-      } else {
-        next = oldest_core;
+    if (policy == sim::Arbitration::kFifo) {
+      next = oldest_waiter();
+    } else if (policy == sim::Arbitration::kNearestFirst) {
+      next = oldest_waiter();
+      // Aged requests bypass the distance heuristic.
+      if (next < n && !(p.aging_limit > 0 &&
+                        now - arrival[next] > p.aging_limit)) {
+        const double* dist = &p.distance[owner * stride];
         double best_d = std::numeric_limits<double>::infinity();
         for (std::uint32_t c = 0; c < n; ++c) {
-          if (!waiting[c]) continue;
-          const double d = p.distance_between(owner, c);
+          if (c == owner) continue;
           // Tie-break by age so equal-distance cores rotate.
-          if (d < best_d || (d == best_d && arrival[c] < arrival[next])) {
-            best_d = d;
+          if (dist[c] < best_d ||
+              (dist[c] == best_d && arrival[c] < arrival[next])) {
+            best_d = dist[c];
             next = c;
           }
         }
       }
     } else {
       // Proximity-biased race anchored at the home agent, mirroring
-      // Machine::arbitrate.
-      double total = 0.0;
+      // Machine::arbitrate. Rounding can leave the pick above zero after
+      // the last weight; the oldest waiter takes the grant then.
+      double pick = rng.next_double() * race_total[owner];
       for (std::uint32_t c = 0; c < n; ++c) {
-        if (waiting[c]) total += bias_weight(p, kHome, c);
-      }
-      double pick = rng.next_double() * total;
-      next = oldest_core;
-      for (std::uint32_t c = 0; c < n; ++c) {
-        if (!waiting[c]) continue;
-        pick -= bias_weight(p, kHome, c);
+        if (c == owner) continue;
+        pick -= weight[c];
         if (pick <= 0.0) {
           next = c;
           break;
         }
       }
+      if (next == n) next = oldest_waiter();
     }
+    if (next == n) break;  // nobody waiting (cannot happen for n >= 2)
 
-    const double t = p.transfer_between(owner, next);
+    const std::size_t edge = owner * stride + next;
+    const double t = p.transfer[edge];
     if (step >= warmup) {
       sum_t += t;
-      sum_hops += p.hops_between(owner, next);
-      far += p.far_between(owner, next) ? 1.0 : 0.0;
+      sum_hops += p.hops[edge];
+      far += p.is_far[edge] != 0 ? 1.0 : 0.0;
       e.grant_shares[next] += 1.0;
       ++counted;
     }
     now += t + hold_cycles;
-    waiting[next] = false;
-    waiting[owner] = true;
     arrival[owner] = now;  // previous owner re-requests after its grant
     owner = next;
   }

@@ -10,7 +10,6 @@
 #include "common/json.hpp"
 #include "guest/runner.hpp"
 #include "model/advisor.hpp"
-#include "model/bouncing_model.hpp"
 #include "model/calibrate.hpp"
 #include "model/params_io.hpp"
 #include "obs/metrics.hpp"
@@ -133,6 +132,10 @@ ServiceCore::ServiceCore(ServiceConfig config)
   if (config_.metrics) {
     cache_.attach_metrics(obs::metrics::default_registry());
   }
+  for (const char* name : {"xeon", "knl", "test"}) {
+    models_.try_emplace(name,
+                        model::ModelParams::from_machine(machine_for(name)));
+  }
 }
 
 void ServiceCore::append_stats(JsonWriter& w) const {
@@ -205,16 +208,13 @@ ServiceCore::HandleResult ServiceCore::handle(const Request& r,
 }
 
 std::string ServiceCore::run_predict(const PointQuery& q, std::string* error) {
-  const sim::MachineConfig mc = machine_for(q.machine);
-  if (q.threads > mc.cores) {
+  const model::BouncingModel& model = models_.at(q.machine);
+  const std::uint32_t cores = model.params().cores;
+  if (q.threads > cores) {
     *error = "threads=" + std::to_string(q.threads) + " exceeds " + q.machine +
-             "'s " + std::to_string(mc.cores) + " cores";
+             "'s " + std::to_string(cores) + " cores";
     return "";
   }
-  // A fresh model per request keeps predict() reentrant: BouncingModel's
-  // hand-off cache mutates on use, so instances are never shared between
-  // worker threads.
-  const model::BouncingModel model(model::ModelParams::from_machine(mc));
   model::Prediction p;
   if (q.mode == "private") {
     p = model.predict_private(q.prim, q.threads, q.work);
@@ -233,13 +233,13 @@ std::string ServiceCore::run_predict(const PointQuery& q, std::string* error) {
 }
 
 std::string ServiceCore::run_advise(const AdviseQuery& q, std::string* error) {
-  const sim::MachineConfig mc = machine_for(q.machine);
-  if (q.threads > mc.cores) {
+  const model::BouncingModel& model = models_.at(q.machine);
+  const std::uint32_t cores = model.params().cores;
+  if (q.threads > cores) {
     *error = "threads=" + std::to_string(q.threads) + " exceeds " + q.machine +
-             "'s " + std::to_string(mc.cores) + " cores";
+             "'s " + std::to_string(cores) + " cores";
     return "";
   }
-  const model::BouncingModel model(model::ModelParams::from_machine(mc));
   std::ostringstream os;
   JsonWriter w(os);
   if (q.target == "backoff") {

@@ -6,6 +6,9 @@
 //   predict   -> model::BouncingModel closed forms,
 //   advise    -> model::advise_counter / advise_lock /
 //                recommended_backoff_cycles,
+//                both over one model per preset, built with the core and
+//                shared by every worker thread (hand-offs memoized per
+//                thread count),
 //   calibrate -> model::calibrate over a backend that replays the client's
 //                probe samples (serving per-machine calibrated parameter
 //                sets instead of recomputing them per query),
@@ -22,11 +25,13 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 
 #include "bench_core/result.hpp"
 #include "bench_core/workload.hpp"
+#include "model/bouncing_model.hpp"
 #include "obs/trace.hpp"
 #include "service/lru_cache.hpp"
 #include "service/protocol.hpp"
@@ -138,6 +143,8 @@ class ServiceCore final : public RequestHandler {
 
   ServiceConfig config_;
   ShardedLruCache cache_;
+  /// One shared model per machine name the protocol accepts.
+  std::map<std::string, model::BouncingModel> models_;
 };
 
 /// The exact WorkloadConfig a simulate request runs (also the key half of

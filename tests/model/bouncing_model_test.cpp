@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "model/bouncing_model.hpp"
 #include "sim/config.hpp"
 
 namespace am::model {
 namespace {
+
+// A model is built once per machine and kept in maps, so it must move; its
+// memo is shared state, so it must not copy.
+static_assert(std::is_nothrow_move_constructible_v<BouncingModel>);
+static_assert(!std::is_copy_constructible_v<BouncingModel>);
 
 BouncingModel test_model(sim::CoreId cores = 8) {
   return BouncingModel(ModelParams::from_machine(sim::test_machine(cores)));
@@ -68,6 +75,29 @@ TEST(Predict, LoadNeverBounces) {
   const double c = m.params().local_op_cycles(Primitive::kLoad);
   EXPECT_DOUBLE_EQ(p.latency_cycles, c);
   EXPECT_DOUBLE_EQ(p.throughput_ops_per_kcycle, 8.0 * 1000.0 / c);
+}
+
+// LOAD and single-thread points never move the line, so they are priced
+// from the local cost alone, with no hand-off evaluation: a LOAD count
+// beyond the machine's cores and a zero thread count both answer.
+TEST(Predict, NoTransferPointsNeedNoHandoff) {
+  const BouncingModel m(ModelParams::from_machine(sim::xeon_e5_2x18()));
+  const double c_load = m.params().local_op_cycles(Primitive::kLoad);
+  Prediction p;
+  ASSERT_NO_THROW(p = m.predict(Primitive::kLoad, 40, 100.0));
+  EXPECT_DOUBLE_EQ(p.latency_cycles, c_load);
+  EXPECT_DOUBLE_EQ(p.throughput_ops_per_kcycle,
+                   40.0 * 1000.0 / (100.0 + c_load));
+  EXPECT_DOUBLE_EQ(p.mean_transfer_cycles, 0.0);
+  EXPECT_GT(p.energy_per_op_nj, 0.0);
+
+  ASSERT_NO_THROW(p = m.predict(Primitive::kFaa, 0, 0.0));
+  EXPECT_DOUBLE_EQ(p.latency_cycles,
+                   m.params().local_op_cycles(Primitive::kFaa));
+  EXPECT_DOUBLE_EQ(p.throughput_ops_per_kcycle, 0.0);
+
+  EXPECT_DOUBLE_EQ(m.mean_transfer(0), 0.0);
+  EXPECT_DOUBLE_EQ(m.mean_transfer(1), 0.0);
 }
 
 TEST(Predict, CasSuccessDropsWithN) {

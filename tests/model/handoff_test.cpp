@@ -1,11 +1,31 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
+#include "common/sha256.hpp"
 #include "common/stats.hpp"
 #include "model/handoff.hpp"
 #include "sim/config.hpp"
 
 namespace am::model {
 namespace {
+
+/// Appends the IEEE-754 bit pattern of every field of @p e, little-endian,
+/// so a digest over the bytes pins the estimate bit for bit.
+void append_bits(std::string& out, const HandoffEstimate& e) {
+  auto put = [&out](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
+    }
+  };
+  put(e.mean_transfer_cycles);
+  put(e.mean_hops);
+  put(e.far_fraction);
+  for (const double s : e.grant_shares) put(s);
+}
 
 TEST(RoundRobin, UniformMachineMeanIsTheLatency) {
   const ModelParams p = ModelParams::from_machine(sim::test_machine(4, 100));
@@ -66,10 +86,42 @@ TEST(TokenPassing, SharesSumToOne) {
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
+// Pins the token-passing kernel at the default 20,000 steps: both presets at
+// every core count, plus the FIFO and nearest-first policies on the Xeon
+// fabric. Any change to the step loop that moves a single output bit fails
+// here; the digest was recorded from the original per-step loop.
+TEST(TokenPassing, GoldenDigestAcrossPresetsAndPolicies) {
+  std::string bytes;
+  for (const sim::MachineConfig& cfg : {sim::xeon_e5_2x18(), sim::knl_64()}) {
+    const ModelParams p = ModelParams::from_machine(cfg);
+    const double hold = p.local_op_cycles(Primitive::kFaa);
+    for (std::uint32_t n = 1; n <= p.cores; ++n) {
+      append_bits(bytes, simulate_handoff(p, n, hold));
+    }
+  }
+  for (const sim::Arbitration arb :
+       {sim::Arbitration::kFifo, sim::Arbitration::kNearestFirst}) {
+    sim::MachineConfig cfg = sim::xeon_e5_2x18();
+    cfg.arbitration = arb;
+    const ModelParams p = ModelParams::from_machine(cfg);
+    const double hold = p.local_op_cycles(Primitive::kFaa);
+    for (const std::uint32_t n : {2u, 17u, 36u}) {
+      append_bits(bytes, simulate_handoff(p, n, hold));
+    }
+  }
+  EXPECT_EQ(sha256_hex(bytes),
+            "2f1c79838aae662e3df838915580931c1537e63b6cfe7ac37f929ff7dccde5fc");
+}
+
 TEST(TokenPassing, RejectsBadCoreCount) {
   const ModelParams p = ModelParams::from_machine(sim::test_machine(4));
   EXPECT_THROW(simulate_handoff(p, 0, 10.0), std::invalid_argument);
   EXPECT_THROW(simulate_handoff(p, 5, 10.0), std::invalid_argument);
+  // The step loop indexes the tables unchecked, so a table that does not
+  // cover cores x cores is refused up front.
+  ModelParams short_table = p;
+  short_table.distance.pop_back();
+  EXPECT_THROW(simulate_handoff(short_table, 4, 10.0), std::invalid_argument);
 }
 
 TEST(Dispatch, EstimateUsesClosedFormForFifo) {
