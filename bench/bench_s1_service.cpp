@@ -346,7 +346,6 @@ int main(int argc, char** argv) {
       fleet_config.runtime_dir = runtime_tmpl;
       fleet_config.worker_threads = static_cast<unsigned>(std::max<std::int64_t>(
           1, cli.get_int("fleet-worker-threads")));
-      fleet_config.metrics = metrics_on;
       supervisor =
           std::make_unique<am::fleet::Supervisor>(std::move(fleet_config));
       if (!supervisor->start(&error)) {
@@ -357,7 +356,6 @@ int main(int argc, char** argv) {
         std::cerr << "bench_s1_service: warning: fleet degraded at start\n";
       }
       am::fleet::RouterConfig router_config;
-      router_config.metrics = metrics_on;
       router = std::make_unique<am::fleet::Router>(*supervisor, router_config);
       server = std::make_unique<am::service::Server>(*router, server_config);
     } else {

@@ -12,6 +12,7 @@
 
 #include "bench_core/sweep_journal.hpp"
 #include "common/json.hpp"
+#include "common/sha256.hpp"
 #include "obs/metrics.hpp"
 #include "sim/machine.hpp"
 
@@ -110,15 +111,6 @@ std::string jobs_trace_conflict(std::int64_t jobs, bool trace_requested) {
 
 namespace {
 
-std::uint64_t fnv1a64(std::string_view s) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -215,10 +207,9 @@ std::string sweep_cache_key(const std::string& backend_identity,
                                backend_identity + "|" +
                                workload_fingerprint(config) + "|" +
                                std::to_string(seed);
-  // Two independent hashes (plain and salted) make accidental 64-bit
-  // collisions a non-issue; the full key material is also embedded in the
-  // cache file and verified on load.
-  return hex64(fnv1a64(material)) + hex64(fnv1a64("salt|" + material));
+  // An identity key: cryptographic, so neither chance nor a crafted
+  // workload makes two points share a cache file.
+  return sha256_hex(material, 16);
 }
 
 std::string serialize_measured_run(const MeasuredRun& r,

@@ -199,8 +199,11 @@ class SweepEngine {
 std::uint64_t sweep_point_seed(std::uint64_t base_seed,
                                std::uint64_t index) noexcept;
 
-/// Stable cache key for one point: hash of cache version, backend identity,
-/// workload and seed. Empty when @p backend_identity is empty (uncacheable).
+/// Stable cache key for one point: sha256_hex(material, 16), 32 hex digits,
+/// where the material is cache version, backend identity, workload and seed.
+/// SHA-256 because the key is an identity key (see common/sha256.hpp): it
+/// alone names the file a hit is served from. Empty when
+/// @p backend_identity is empty (uncacheable).
 std::string sweep_cache_key(const std::string& backend_identity,
                             const WorkloadConfig& config, std::uint64_t seed);
 

@@ -1,10 +1,12 @@
-// SHA-256 (FIPS 180-4), self-contained. Exists for the one place the repo
-// needs a *cryptographic* digest: content-addressing attacker-supplied
-// bytes (run_guest ELF images) whose hash is the sole shared cache key —
-// an engineered collision there would serve one binary's cached response
-// for a different binary. Everything that only needs distribution (LRU
-// sharding, the fleet hash ring, per-point seeds) keeps the cheap
-// splitmix64 chain in service/protocol.hpp.
+// SHA-256 (FIPS 180-4), self-contained. The repo's one identity-key rule:
+// every key that names an answer — the service cache key over a request's
+// canonical form, the run_guest ELF content hash, the sweep disk cache key
+// over its point material — is sha256_hex(material, 16). Such a key is all
+// a cache consults on a hit, so a collision would serve one request's answer
+// for another; with a cryptographic digest none can be engineered.
+// Everything that only needs distribution (LRU sharding, the fleet hash
+// ring, per-point seeds) keeps the cheap splitmix64 chain in
+// service/protocol.hpp.
 #pragma once
 
 #include <array>

@@ -8,7 +8,7 @@
 #include "bench_core/sweep.hpp"
 #include "bench_core/sweep_journal.hpp"
 #include "common/json.hpp"
-#include "obs/metrics.hpp"
+#include "obs/prometheus.hpp"
 #include "sim/config.hpp"
 
 namespace am::fleet {
@@ -18,48 +18,13 @@ namespace {
 /// Stale-LRU key. The cached value is a *full response line*, which embeds
 /// the request id echo — two clients asking the same canonical question
 /// under different ids must not be served each other's echo, so the id is
-/// part of the key ('\x1f' cannot appear in canonical JSON or an id that
-/// parsed).
-std::string stale_key(const std::string& canonical, const std::string& id) {
-  return canonical + '\x1f' + id;
+/// part of the key (the cache key is fixed-width hex, so no two (key, id)
+/// pairs join to the same string).
+std::string stale_key(const std::string& cache_key, const std::string& id) {
+  return cache_key + '\x1f' + id;
 }
 
 }  // namespace
-
-struct Router::Telemetry {
-  explicit Telemetry(obs::metrics::Registry& reg) {
-    forwarded = &reg.counter("am_fleet_forwarded_total",
-                             "Requests forwarded to a worker");
-    failovers = &reg.counter(
-        "am_fleet_failovers_total",
-        "Forwards handed off to a ring successor (owner down or failed)");
-    shed = &reg.counter("am_fleet_shed_total",
-                        "Requests answered `overloaded` by admission control");
-    stale_serves = &reg.counter(
-        "am_fleet_stale_serves_total",
-        "Requests served stale (router LRU or shared disk cache)");
-    unavailable = &reg.counter(
-        "am_fleet_unavailable_total",
-        "Requests answered `unavailable` (no worker, no stale copy)");
-    promoted = &reg.counter(
-        "am_fleet_promoted_total",
-        "Simulate requests computed at the front and promoted into the "
-        "shared sweep disk cache (every worker down)");
-    chaos_drops = &reg.counter("am_fleet_chaos_drops_total",
-                               "Chaos-injected dropped worker connections");
-    chaos_delays = &reg.counter("am_fleet_chaos_delays_total",
-                                "Chaos-injected response delays");
-  }
-
-  obs::metrics::Counter* forwarded = nullptr;
-  obs::metrics::Counter* failovers = nullptr;
-  obs::metrics::Counter* shed = nullptr;
-  obs::metrics::Counter* stale_serves = nullptr;
-  obs::metrics::Counter* unavailable = nullptr;
-  obs::metrics::Counter* promoted = nullptr;
-  obs::metrics::Counter* chaos_drops = nullptr;
-  obs::metrics::Counter* chaos_delays = nullptr;
-};
 
 Router::Router(Supervisor& supervisor, RouterConfig config)
     : supervisor_(supervisor),
@@ -69,9 +34,6 @@ Router::Router(Supervisor& supervisor, RouterConfig config)
   pools_.reserve(supervisor.worker_count());
   for (std::size_t i = 0; i < supervisor.worker_count(); ++i) {
     pools_.push_back(std::make_unique<WorkerPool>());
-  }
-  if (config_.metrics) {
-    telemetry_ = std::make_unique<Telemetry>(obs::metrics::default_registry());
   }
 }
 
@@ -114,7 +76,6 @@ std::optional<std::string> Router::forward(std::size_t worker,
     conn.client.send_line(std::string(raw));
     conn.client.close();
     chaos_drops_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr) telemetry_->chaos_drops->inc();
     return std::nullopt;
   }
 
@@ -127,7 +88,6 @@ std::optional<std::string> Router::forward(std::size_t worker,
 
   if (chaos != nullptr && ChaosConfig::consume(chaos->delay_response)) {
     chaos_delays_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr) telemetry_->chaos_delays->inc();
     std::this_thread::sleep_for(std::chrono::milliseconds(
         chaos->delay_ms.load(std::memory_order_relaxed)));
   }
@@ -140,9 +100,9 @@ std::optional<std::string> Router::forward(std::size_t worker,
 }
 
 std::string Router::stale_response(const service::Request& r,
-                                   const std::string& canonical) {
+                                   const std::string& memo_key) {
   if (!r.cacheable()) return "";
-  if (auto hit = stale_.get(stale_key(canonical, r.id))) return *hit;
+  if (auto hit = stale_.get(memo_key)) return *hit;
 
   // Second level: simulate results live in the shared sweep disk cache.
   // Reconstruct the key a worker would have written the point under and
@@ -215,8 +175,9 @@ service::HandleResult Router::handle(const service::Request& r,
     return out;
   }
 
-  const std::string canonical = service::canonical_request(r);
-  const std::vector<std::size_t> order = ring_.route_order(canonical);
+  const std::string key = service::request_cache_key(r);
+  const std::string memo_key = stale_key(key, r.id);
+  const std::vector<std::size_t> order = ring_.route_order(key);
   const std::size_t candidates = std::min(
       order.size(), static_cast<std::size_t>(1 + std::max(0, config_.failover_retries)));
 
@@ -236,29 +197,24 @@ service::HandleResult Router::handle(const service::Request& r,
       supervisor_.report_transport_failure(worker);
       continue;
     }
-    if (c > 0) {
-      failovers_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry_ != nullptr) telemetry_->failovers->inc();
-    }
+    if (c > 0) failovers_.fetch_add(1, std::memory_order_relaxed);
     forwarded_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr) telemetry_->forwarded->inc();
 
     out.response = *response + "\n";
     // Success envelopes always carry the literal `"ok":true`; escaping
     // guarantees no error envelope can contain those exact bytes.
     out.ok = response->find("\"ok\":true") != std::string::npos;
     if (r.cacheable() && out.ok && config_.stale_capacity > 0) {
-      stale_.put(stale_key(canonical, r.id), out.response);
+      stale_.put(memo_key, out.response);
     }
     return out;
   }
 
   // Every candidate refused. Stale beats an error; overloaded beats
   // unavailable (the client should back off, not re-resolve).
-  const std::string stale = stale_response(r, canonical);
+  const std::string stale = stale_response(r, memo_key);
   if (!stale.empty()) {
     stale_serves_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr) telemetry_->stale_serves->inc();
     out.response = stale;
     if (out.response.back() != '\n') out.response += '\n';
     out.cache_hit = true;
@@ -272,16 +228,14 @@ service::HandleResult Router::handle(const service::Request& r,
     service::HandleResult promoted = promote(r);
     if (!promoted.response.empty()) {
       promoted_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry_ != nullptr) telemetry_->promoted->inc();
       if (r.cacheable() && promoted.ok && config_.stale_capacity > 0) {
-        stale_.put(stale_key(canonical, r.id), promoted.response);
+        stale_.put(memo_key, promoted.response);
       }
       return promoted;
     }
   }
   if (any_full) {
     shed_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr) telemetry_->shed->inc();
     out.response = service::make_error_response(
         r.id, service::errcode::kOverloaded,
         "fleet at capacity; retry with backoff");
@@ -289,7 +243,6 @@ service::HandleResult Router::handle(const service::Request& r,
     return out;
   }
   unavailable_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry_ != nullptr) telemetry_->unavailable->inc();
   out.response = service::make_error_response(
       r.id, service::errcode::kUnavailable,
       "no worker available for this shard and no stale copy exists");
@@ -325,6 +278,50 @@ void Router::append_stats(JsonWriter& w) const {
   }
   w.end_array();
   w.end_object();
+}
+
+void Router::append_metrics(obs::metrics::PromWriter& w) const {
+  constexpr auto kCounter = obs::metrics::Type::kCounter;
+  w.single("am_fleet_forwarded_total", "Requests forwarded to a worker",
+           kCounter, forwarded());
+  w.single("am_fleet_failovers_total",
+           "Forwards handed off to a ring successor (owner down or failed)",
+           kCounter, failovers());
+  w.single("am_fleet_shed_total",
+           "Requests answered `overloaded` by admission control", kCounter,
+           shed());
+  w.single("am_fleet_stale_serves_total",
+           "Requests served stale (router LRU or shared disk cache)",
+           kCounter, stale_serves());
+  w.single("am_fleet_unavailable_total",
+           "Requests answered `unavailable` (no worker, no stale copy)",
+           kCounter, unavailable());
+  w.single("am_fleet_promoted_total",
+           "Simulate requests computed at the front and promoted into the "
+           "shared sweep disk cache (every worker down)",
+           kCounter, promoted());
+  w.single("am_fleet_chaos_drops_total",
+           "Chaos-injected dropped worker connections", kCounter,
+           chaos_drops_.load(std::memory_order_relaxed));
+  w.single("am_fleet_chaos_delays_total", "Chaos-injected response delays",
+           kCounter, chaos_delays_.load(std::memory_order_relaxed));
+  w.single("am_fleet_restarts_total", "Worker respawns after a crash or hang",
+           kCounter, supervisor_.total_restarts());
+  w.single("am_fleet_worker_deaths_total",
+           "Worker processes that exited or were killed", kCounter,
+           supervisor_.deaths());
+  w.single("am_fleet_chaos_kills_total", "Chaos-injected worker SIGKILLs",
+           kCounter, supervisor_.chaos_kills());
+  w.single("am_fleet_chaos_hangs_total", "Chaos-injected worker SIGSTOP hangs",
+           kCounter, supervisor_.chaos_hangs());
+  w.single("am_fleet_probe_failures_total",
+           "Health probes that missed the deadline (worker hung or dead)",
+           kCounter, supervisor_.probe_failures());
+  w.single("am_fleet_circuit_opens_total", "Circuit-breaker activations",
+           kCounter, supervisor_.circuit_opens());
+  w.single("am_fleet_workers_up", "Workers currently answering probes",
+           obs::metrics::Type::kGauge,
+           static_cast<double>(supervisor_.workers_up()));
 }
 
 }  // namespace am::fleet

@@ -1,9 +1,10 @@
 // The fleet's forwarding tier: a service::RequestHandler that relays each
 // request to the worker owning its shard.
 //
-// Routing key = the request's canonical form (the same bytes the prediction
-// cache hashes), so every retry of a request — any member order, any
-// whitespace — lands on the same worker and its sharded LRU stays hot.
+// Routing key = the request's cache key (service::request_cache_key, the
+// SHA-256 of its canonical form), so every retry of a request — any member
+// order, any whitespace — lands on the same worker and its sharded LRU
+// stays hot.
 // The original request line is forwarded verbatim: the worker parses,
 // canonicalizes and answers exactly as if the client had connected to it
 // directly, which is what keeps fleet responses byte-identical to a
@@ -23,6 +24,10 @@
 //   6. stale miss, all down      -> structured `unavailable`
 // Admission is per-worker (Supervisor::try_acquire): a slow worker sheds
 // its own shard's load instead of stalling the fleet.
+//
+// The router's tallies are plain per-instance atomics; append_stats and
+// append_metrics both read them (and the supervisor's), so the "fleet"
+// stats section and the am_fleet_* scrape families are one set of books.
 #pragma once
 
 #include <atomic>
@@ -47,12 +52,11 @@ struct RouterConfig {
   /// Sibling workers tried after the owner before degrading (<= workers-1).
   int failover_retries = 1;
   /// Router-level stale-response LRU (full response lines keyed by
-  /// canonical request + id). 0 disables memory-stale serving.
+  /// request cache key + id). 0 disables memory-stale serving.
   std::size_t stale_capacity = 4096;
   std::size_t stale_shards = 8;
   /// Virtual nodes per worker on the consistent-hash ring.
   std::size_t ring_vnodes = 64;
-  bool metrics = true;
   /// Fault injection; not owned, may be null (usually the supervisor's).
   ChaosConfig* chaos = nullptr;
 };
@@ -72,6 +76,10 @@ class Router final : public service::RequestHandler {
   /// Writes the "fleet" stats section: per-worker state plus routing
   /// counters.
   void append_stats(JsonWriter& w) const override;
+
+  /// Renders every am_fleet_* family: the routing counters here plus the
+  /// supervisor's lifecycle counters and workers-up gauge.
+  void append_metrics(obs::metrics::PromWriter& w) const override;
 
   /// Propagates the front server's drain to the worker fleet.
   void on_drain() override;
@@ -95,16 +103,15 @@ class Router final : public service::RequestHandler {
     std::mutex mu;
     std::vector<PooledConn> idle;
   };
-  struct Telemetry;
 
   /// One forward attempt. Returns the response line (no '\n') or nullopt on
   /// transport failure (connect/send/recv/timeout/chaos drop).
   std::optional<std::string> forward(std::size_t worker, std::string_view raw);
 
-  /// Stale sources in order: router LRU, then (simulate only) the shared
-  /// disk cache. Empty when nothing stale exists.
+  /// Stale sources in order: router LRU (under @p memo_key), then
+  /// (simulate only) the shared disk cache. Empty when nothing stale exists.
   std::string stale_response(const service::Request& r,
-                             const std::string& canonical);
+                             const std::string& memo_key);
 
   /// Last-resort compute-at-the-front for simulate when every worker is
   /// down: answers via a lazily-built local ServiceCore whose sim cache dir
@@ -119,7 +126,6 @@ class Router final : public service::RequestHandler {
   HashRing ring_;
   std::vector<std::unique_ptr<WorkerPool>> pools_;
   service::ShardedLruCache stale_;
-  std::unique_ptr<Telemetry> telemetry_;
 
   std::mutex promote_mu_;  ///< single-writer gate for promotion compute
   std::unique_ptr<service::ServiceCore> promote_core_;  ///< lazily built

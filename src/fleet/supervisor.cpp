@@ -6,8 +6,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "obs/metrics.hpp"
-
 namespace am::fleet {
 
 using Clock = std::chrono::steady_clock;
@@ -38,43 +36,10 @@ std::string find_worker_binary() {
   return "";
 }
 
-/// Fleet-level instruments in the process-wide default registry: they show
-/// up in the front server's Prometheus scrape next to the request counters.
-struct Supervisor::Telemetry {
-  explicit Telemetry(obs::metrics::Registry& reg) {
-    restarts = &reg.counter("am_fleet_restarts_total",
-                            "Worker respawns after a crash or hang");
-    deaths = &reg.counter("am_fleet_worker_deaths_total",
-                          "Worker processes that exited or were killed");
-    chaos_kills = &reg.counter("am_fleet_chaos_kills_total",
-                               "Chaos-injected worker SIGKILLs");
-    chaos_hangs = &reg.counter("am_fleet_chaos_hangs_total",
-                               "Chaos-injected worker SIGSTOP hangs");
-    probe_failures = &reg.counter(
-        "am_fleet_probe_failures_total",
-        "Health probes that missed the deadline (worker hung or dead)");
-    circuit_opens = &reg.counter("am_fleet_circuit_opens_total",
-                                 "Circuit-breaker activations");
-    workers_up =
-        &reg.gauge("am_fleet_workers_up", "Workers currently answering probes");
-  }
-
-  obs::metrics::Counter* restarts = nullptr;
-  obs::metrics::Counter* deaths = nullptr;
-  obs::metrics::Counter* chaos_kills = nullptr;
-  obs::metrics::Counter* chaos_hangs = nullptr;
-  obs::metrics::Counter* probe_failures = nullptr;
-  obs::metrics::Counter* circuit_opens = nullptr;
-  obs::metrics::Gauge* workers_up = nullptr;
-};
-
 Supervisor::Supervisor(FleetConfig config) : config_(std::move(config)) {
   if (config_.workers == 0) config_.workers = 1;
   if (config_.worker_binary.empty()) {
     config_.worker_binary = find_worker_binary();
-  }
-  if (config_.metrics) {
-    telemetry_ = std::make_unique<Telemetry>(obs::metrics::default_registry());
   }
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
@@ -120,7 +85,6 @@ bool Supervisor::spawn_worker(std::size_t i, std::string* error) {
     w.spawned_at = Clock::now();
     if (w.ever_up || w.epoch.load(std::memory_order_relaxed) > 0) {
       ++w.restarts;
-      if (telemetry_ != nullptr) telemetry_->restarts->inc();
     }
     w.ever_up = false;
   }
@@ -267,7 +231,7 @@ void Supervisor::on_worker_death(Worker& w, Clock::time_point now) {
   ++w.consecutive_failures;
   if (w.consecutive_failures >= config_.circuit_failures) {
     w.state.store(WorkerState::kCircuitOpen, std::memory_order_release);
-    if (telemetry_ != nullptr) telemetry_->circuit_opens->inc();
+    circuit_opens_.fetch_add(1, std::memory_order_relaxed);
     w.restart_at = now + ms(config_.circuit_cooloff_ms);
   } else {
     w.state.store(WorkerState::kDown, std::memory_order_release);
@@ -295,7 +259,7 @@ void Supervisor::run_chaos(Clock::time_point now) {
     last_chaos_kill_ = now;
     if (Worker* v = pick_victim()) {
       v->proc.deliver(SIGKILL);
-      if (telemetry_ != nullptr) telemetry_->chaos_kills->inc();
+      chaos_kills_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   const int hang_every = chaos->hang_every_ms.load(std::memory_order_relaxed);
@@ -303,19 +267,19 @@ void Supervisor::run_chaos(Clock::time_point now) {
     last_chaos_hang_ = now;
     if (Worker* v = pick_victim()) {
       v->proc.deliver(SIGSTOP);
-      if (telemetry_ != nullptr) telemetry_->chaos_hangs->inc();
+      chaos_hangs_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   if (ChaosConfig::consume(chaos->kill_worker)) {
     if (Worker* v = pick_victim()) {
       v->proc.deliver(SIGKILL);
-      if (telemetry_ != nullptr) telemetry_->chaos_kills->inc();
+      chaos_kills_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   if (ChaosConfig::consume(chaos->hang_worker)) {
     if (Worker* v = pick_victim()) {
       v->proc.deliver(SIGSTOP);
-      if (telemetry_ != nullptr) telemetry_->chaos_hangs->inc();
+      chaos_hangs_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
@@ -331,7 +295,7 @@ void Supervisor::tick_once() {
     // Reap first: a death observed here moves the worker into the restart
     // (or breaker) path unless it was already marked down by a failed probe.
     if (w.proc.running() && w.proc.reap(nullptr)) {
-      if (telemetry_ != nullptr) telemetry_->deaths->inc();
+      deaths_.fetch_add(1, std::memory_order_relaxed);
       if (st == WorkerState::kUp || st == WorkerState::kStarting) {
         on_worker_death(w, now);
       }
@@ -373,7 +337,7 @@ void Supervisor::tick_once() {
           // Still inside the grace window: keep waiting (binding + cache
           // load take time). Past it: treat as wedged.
           if (over_grace) {
-            if (telemetry_ != nullptr) telemetry_->probe_failures->inc();
+            probe_failures_.fetch_add(1, std::memory_order_relaxed);
             w.proc.deliver(SIGKILL);  // reaped (and counted) next tick
           }
         }
@@ -384,7 +348,7 @@ void Supervisor::tick_once() {
         if (!w.proc.probe_ping(config_.probe_timeout_ms)) {
           // Hung (SIGSTOP chaos, wedged loop) or died between reap and
           // probe. The deadline is the arbiter: kill and restart.
-          if (telemetry_ != nullptr) telemetry_->probe_failures->inc();
+          probe_failures_.fetch_add(1, std::memory_order_relaxed);
           w.proc.deliver(SIGKILL);
           on_worker_death(w, now);
         }
@@ -393,10 +357,6 @@ void Supervisor::tick_once() {
       case WorkerState::kDraining:
         break;
     }
-  }
-
-  if (telemetry_ != nullptr) {
-    telemetry_->workers_up->set(static_cast<double>(workers_up()));
   }
 }
 

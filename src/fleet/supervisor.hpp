@@ -60,7 +60,6 @@ struct FleetConfig {
   /// Admission cap: in-flight requests per worker before load is shed.
   int max_inflight = 64;
 
-  bool metrics = true;
   /// Fault injection; not owned, may be null. Shared with tests/CLI.
   ChaosConfig* chaos = nullptr;
 };
@@ -134,6 +133,16 @@ class Supervisor {
   std::vector<WorkerStatus> status() const;
   std::uint64_t total_restarts() const;
   std::size_t workers_up() const;
+  /// Lifecycle counters (the router renders them as am_fleet_* families).
+  std::uint64_t deaths() const noexcept { return deaths_.load(); }
+  std::uint64_t chaos_kills() const noexcept { return chaos_kills_.load(); }
+  std::uint64_t chaos_hangs() const noexcept { return chaos_hangs_.load(); }
+  std::uint64_t probe_failures() const noexcept {
+    return probe_failures_.load();
+  }
+  std::uint64_t circuit_opens() const noexcept {
+    return circuit_opens_.load();
+  }
 
  private:
   struct Worker {
@@ -152,8 +161,6 @@ class Supervisor {
     std::chrono::steady_clock::time_point spawned_at{};
   };
 
-  struct Telemetry;
-
   bool spawn_worker(std::size_t i, std::string* error);
   void tick_loop();
   void tick_once();
@@ -162,7 +169,11 @@ class Supervisor {
 
   FleetConfig config_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::unique_ptr<Telemetry> telemetry_;
+  std::atomic<std::uint64_t> deaths_{0};
+  std::atomic<std::uint64_t> chaos_kills_{0};
+  std::atomic<std::uint64_t> chaos_hangs_{0};
+  std::atomic<std::uint64_t> probe_failures_{0};
+  std::atomic<std::uint64_t> circuit_opens_{0};
 
   std::thread ticker_;
   mutable std::mutex mu_;

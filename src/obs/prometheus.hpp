@@ -38,6 +38,14 @@ class PromWriter {
               std::string_view suffix = "");
   void sample(std::string_view name, const Labels& labels,
               std::uint64_t value, std::string_view suffix = "");
+  /// A whole one-sample family (headers plus one unlabeled sample): how a
+  /// component renders a tally it keeps outside any Registry.
+  template <typename V>
+  void single(std::string_view name, std::string_view help, Type type,
+              V value) {
+    family(name, help, type);
+    sample(name, {}, value);
+  }
 
   static std::string escape_label(std::string_view v);
 

@@ -12,7 +12,7 @@
 #include "model/advisor.hpp"
 #include "model/calibrate.hpp"
 #include "model/params_io.hpp"
-#include "obs/metrics.hpp"
+#include "obs/prometheus.hpp"
 #include "sim/config.hpp"
 
 namespace am::service {
@@ -129,9 +129,6 @@ class SampleReplayBackend final : public bench::ExecutionBackend {
 ServiceCore::ServiceCore(ServiceConfig config)
     : config_(std::move(config)),
       cache_(config_.cache_capacity, config_.cache_shards) {
-  if (config_.metrics) {
-    cache_.attach_metrics(obs::metrics::default_registry());
-  }
   for (const char* name : {"xeon", "knl", "test"}) {
     models_.try_emplace(name,
                         model::ModelParams::from_machine(machine_for(name)));
@@ -154,6 +151,22 @@ void ServiceCore::append_stats(JsonWriter& w) const {
                              static_cast<double>(lookups)
                        : 0.0);
   w.end_object();
+}
+
+void ServiceCore::append_metrics(obs::metrics::PromWriter& w) const {
+  constexpr auto kCounter = obs::metrics::Type::kCounter;
+  const CacheCounters cache = cache_.counters();
+  w.single("am_cache_hits_total",
+           "Prediction-cache lookups served from memory", kCounter,
+           cache.hits);
+  w.single("am_cache_misses_total",
+           "Prediction-cache lookups that fell through", kCounter,
+           cache.misses);
+  w.single("am_cache_insertions_total", "Prediction-cache entries inserted",
+           kCounter, cache.insertions);
+  w.single("am_cache_evictions_total",
+           "Prediction-cache entries evicted (LRU)", kCounter,
+           cache.evictions);
 }
 
 ServiceCore::HandleResult ServiceCore::handle(const Request& r,

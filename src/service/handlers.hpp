@@ -40,6 +40,10 @@ namespace am {
 class JsonWriter;
 }  // namespace am
 
+namespace am::obs::metrics {
+class PromWriter;
+}  // namespace am::obs::metrics
+
 namespace am::service {
 
 /// Per-request observability context, minted by the transport when a request
@@ -74,6 +78,12 @@ class RequestHandler {
   /// run on worker threads.
   virtual void append_stats(JsonWriter& w) const { (void)w; }
 
+  /// The scrape twin of append_stats: renders the handler's own counters
+  /// as Prometheus families (am_cache_*, am_fleet_*, ...) into the server's
+  /// metrics response. Reads the same books append_stats does; must be
+  /// thread-safe likewise.
+  virtual void append_metrics(obs::metrics::PromWriter& w) const { (void)w; }
+
   /// Invoked once when the server enters drain (SIGTERM/SIGINT): a
   /// forwarding handler propagates drain to its workers here.
   virtual void on_drain() {}
@@ -91,8 +101,8 @@ struct ServiceConfig {
   /// warmup+measure window), negative = watchdog off. Mirrors
   /// --max-point-cycles.
   std::int64_t max_point_cycles = 0;
-  /// Mirror prediction-cache hit/miss/insert/evict events into
-  /// obs::metrics::default_registry() counters.
+  /// Publish the run_guest layer counters (am_guest_*) into
+  /// obs::metrics::default_registry(). Off for overhead A/B runs.
   bool metrics = true;
   /// run_guest resource ceilings, service-side (the CLI runs with larger
   /// defaults): simulated-cycle window and total guest-instruction budget
@@ -125,6 +135,9 @@ class ServiceCore final : public RequestHandler {
 
   /// Writes the "cache" stats section (hits/misses/size/...).
   void append_stats(JsonWriter& w) const override;
+
+  /// Renders the am_cache_*_total families from cache().counters().
+  void append_metrics(obs::metrics::PromWriter& w) const override;
 
   const ShardedLruCache& cache() const noexcept { return cache_; }
   const ServiceConfig& config() const noexcept { return config_; }

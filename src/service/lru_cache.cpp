@@ -32,28 +32,15 @@ ShardedLruCache::Shard& ShardedLruCache::shard_for(const std::string& key) {
   return *shards_[h & (shards_.size() - 1)];
 }
 
-void ShardedLruCache::attach_metrics(obs::metrics::Registry& registry) {
-  m_hits_ = &registry.counter("am_cache_hits_total",
-                              "Prediction-cache lookups served from memory");
-  m_misses_ = &registry.counter("am_cache_misses_total",
-                                "Prediction-cache lookups that fell through");
-  m_insertions_ = &registry.counter("am_cache_insertions_total",
-                                    "Prediction-cache entries inserted");
-  m_evictions_ = &registry.counter(
-      "am_cache_evictions_total", "Prediction-cache entries evicted (LRU)");
-}
-
 std::optional<std::string> ShardedLruCache::get(const std::string& key) {
   Shard& s = shard_for(key);
   std::lock_guard<std::mutex> lock(s.mu);
   const auto it = s.index.find(key);
   if (it == s.index.end()) {
     ++s.misses;
-    if (m_misses_ != nullptr) m_misses_->inc();
     return std::nullopt;
   }
   ++s.hits;
-  if (m_hits_ != nullptr) m_hits_->inc();
   // Refresh recency: splice the node to the front without reallocating.
   s.order.splice(s.order.begin(), s.order, it->second);
   return it->second->second;
@@ -71,12 +58,10 @@ void ShardedLruCache::put(const std::string& key, std::string value) {
   s.order.emplace_front(key, std::move(value));
   s.index[key] = s.order.begin();
   ++s.insertions;
-  if (m_insertions_ != nullptr) m_insertions_->inc();
   while (s.order.size() > per_shard_capacity_) {
     s.index.erase(s.order.back().first);
     s.order.pop_back();
     ++s.evictions;
-    if (m_evictions_ != nullptr) m_evictions_->inc();
   }
 }
 

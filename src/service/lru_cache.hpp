@@ -6,7 +6,9 @@
 // contention off the serving threads: each shard has its own mutex, map and
 // recency list, so concurrent lookups of different keys rarely collide.
 // Counters (hits / misses / insertions / evictions) are maintained per
-// shard under the shard lock and summed on demand for the stats endpoint.
+// shard under the shard lock and summed on demand by counters(); they are
+// the cache's only books — the stats section and the am_cache_* scrape
+// families both render them (ServiceCore::append_stats / append_metrics).
 #pragma once
 
 #include <cstdint>
@@ -17,8 +19,6 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace am::service {
 
@@ -48,14 +48,6 @@ class ShardedLruCache {
   /// Counters summed over all shards.
   CacheCounters counters() const;
 
-  /// Mirrors hit/miss/insert/evict events into registry counters (named
-  /// am_cache_<event>s_total) so scrapes see cache activity without polling
-  /// counters(). The shard already holds its mutex when an event fires, so
-  /// the mirror is one extra relaxed fetch-add per event. Call before the
-  /// cache is shared across threads; passing the same registry twice is
-  /// idempotent (instruments are interned by name).
-  void attach_metrics(obs::metrics::Registry& registry);
-
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
@@ -78,13 +70,6 @@ class ShardedLruCache {
   std::size_t capacity_;
   std::size_t per_shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Registry mirrors; null until attach_metrics(). Instruments are immortal
-  // (owned by the registry), so raw pointers are safe.
-  obs::metrics::Counter* m_hits_ = nullptr;
-  obs::metrics::Counter* m_misses_ = nullptr;
-  obs::metrics::Counter* m_insertions_ = nullptr;
-  obs::metrics::Counter* m_evictions_ = nullptr;
 };
 
 }  // namespace am::service

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "bench_core/sweep.hpp"  // splitmix64
@@ -27,6 +28,15 @@ std::string canon_number(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.12g", v);
   return buf;
+}
+
+/// The value canon_number(@p v) spells. Requests store numbers at this value
+/// so handlers compute on exactly what the cache key names: two spellings
+/// that differ past the 12th significant digit share a key, and must
+/// therefore share an answer. Integers and values with at most 12
+/// significant digits are unchanged.
+double canon_value(double v) {
+  return std::strtod(canon_number(v).c_str(), nullptr);
 }
 
 std::string lower(std::string s) {
@@ -69,7 +79,7 @@ struct Fields {
       fail(std::string(key) + " must be a number");
       return def;
     }
-    const double x = v->as_number();
+    const double x = canon_value(v->as_number());
     if (!(x >= lo && x <= hi)) {
       fail(std::string(key) + " out of range [" + canon_number(lo) + ", " +
            canon_number(hi) + "]");
@@ -413,14 +423,7 @@ std::uint64_t chain_hash(std::string_view bytes,
 }
 
 std::string request_cache_key(const Request& r) {
-  const std::string canon = canonical_request(r);
-  char buf[33];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(
-                    chain_hash(canon, 0x616d2d7365727665ull)),  // "am-serve"
-                static_cast<unsigned long long>(
-                    chain_hash(canon, 0x2f31000000000000ull))); // "/1"
-  return buf;
+  return sha256_hex(canonical_request(r), 16);
 }
 
 std::string make_result_response(const Request& r,

@@ -11,8 +11,15 @@
 // consumes. Two requests that differ in member order, whitespace, number
 // spelling ("16" vs "16.0") or irrelevant members canonicalize identically,
 // hit the same prediction-cache entry, and receive byte-identical results.
-// The cache key is a splitmix64-chained hash of the canonical form (the
-// same mixing the sweep engine uses for per-point seeds).
+// parse_request stores every number at the value its canonical spelling
+// denotes, so two requests that share a canonical form also compute on the
+// same doubles.
+//
+// One identity-key rule: a key that names an answer (request_cache_key,
+// guest_elf_sha, the sweep disk cache's sweep_cache_key) is SHA-256 of its
+// material truncated to 128 bits, so a key collision cannot be engineered.
+// chain_hash (splitmix64) only spreads load — LRU shard picks and the fleet
+// hash ring — and never decides which answer is served.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +50,14 @@ inline constexpr std::size_t kRequestKindCount = 8;
 
 const char* to_string(RequestKind k) noexcept;
 std::optional<RequestKind> parse_kind(std::string_view name) noexcept;
+
+/// True for kinds whose responses are deterministic functions of the
+/// canonical request and therefore cacheable.
+constexpr bool is_cacheable(RequestKind k) noexcept {
+  return k == RequestKind::kPredict || k == RequestKind::kAdvise ||
+         k == RequestKind::kCalibrate || k == RequestKind::kSimulate ||
+         k == RequestKind::kRunGuest;
+}
 
 /// Workload shape shared by predict and simulate. `mode` mirrors the
 /// WorkloadMode subset both the model and the simulator serve.
@@ -120,13 +135,7 @@ struct Request {
   CalibrateQuery calibrate;
   GuestQuery guest;
 
-  /// True for kinds whose responses are deterministic functions of the
-  /// canonical request and therefore cacheable.
-  bool cacheable() const noexcept {
-    return kind == RequestKind::kPredict || kind == RequestKind::kAdvise ||
-           kind == RequestKind::kCalibrate || kind == RequestKind::kSimulate ||
-           kind == RequestKind::kRunGuest;
-  }
+  bool cacheable() const noexcept { return is_cacheable(kind); }
 };
 
 /// Parses one request line. On failure returns nullopt and fills @p error
@@ -137,12 +146,13 @@ std::optional<Request> parse_request(std::string_view line, std::string* error);
 /// id; includes only the members the request's kind/mode consumes.
 std::string canonical_request(const Request& r);
 
-/// Stable cache key: two independent splitmix64-chained hashes of the
-/// canonical form, rendered as 32 hex digits (the same collision posture as
-/// the sweep result cache).
+/// Stable cache key: sha256_hex(canonical_request(r), 16), 32 hex digits.
+/// A hit on the key is trusted as a hit on the canonical form.
 std::string request_cache_key(const Request& r);
 
 /// splitmix64-chained hash of @p bytes with @p seed_salt folded in first.
+/// Distribution only (shard picks, the hash ring): it is invertible, so it
+/// must never serve as an identity key.
 std::uint64_t chain_hash(std::string_view bytes,
                          std::uint64_t seed_salt) noexcept;
 

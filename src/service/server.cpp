@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
@@ -49,52 +50,43 @@ void set_nonblocking(int fd) {
 
 }  // namespace
 
-/// Server-side instruments plus the rolling-window machinery. Instruments
-/// live in the process-wide default registry — one scrape shows request
-/// counters next to the simulator/sweep/cache counters the handlers bump —
-/// and are interned once here; the per-request cost is relaxed fetch-adds.
-struct Server::Telemetry {
-  explicit Telemetry(obs::metrics::Registry& reg) : windows(reg) {
-    namespace m = obs::metrics;
-    static constexpr const char* kKinds[kRequestKindCount] = {
-        "predict", "advise", "calibrate", "simulate",
-        "stats",   "ping",   "metrics",   "run_guest"};
+/// The server's books: am_server_* instruments interned once into a
+/// registry this server owns, the rolling windows over them, and the
+/// sampler thread that feeds the windows (started only with
+/// config_.metrics). The per-request cost is relaxed fetch-adds.
+struct Server::Books {
+  Books() : windows(registry) {
     for (std::size_t i = 0; i < kRequestKindCount; ++i) {
-      by_kind[i] =
-          &reg.counter("am_server_requests_total", "Requests handled, by kind",
-                       {{"kind", kKinds[i]}});
+      by_kind[i] = &registry.counter(
+          "am_server_requests_total", "Requests handled, by kind",
+          {{"kind", to_string(static_cast<RequestKind>(i))}});
     }
-    responses = &reg.counter("am_server_responses_total",
-                             "Response lines written (incl. parse errors)");
-    parse_errors = &reg.counter("am_server_parse_errors_total",
-                                "Request lines that failed to parse");
-    handler_errors = &reg.counter("am_server_handler_errors_total",
-                                  "Parsed requests answered with an error");
+    responses = &registry.counter(
+        "am_server_responses_total",
+        "Response lines written (incl. parse errors)");
+    parse_errors = &registry.counter("am_server_parse_errors_total",
+                                     "Request lines that failed to parse");
+    handler_errors = &registry.counter(
+        "am_server_handler_errors_total",
+        "Parsed requests answered with an error");
     cache_hit_responses =
-        &reg.counter("am_server_cache_hit_responses_total",
-                     "Responses served from the prediction cache");
-    accepted = &reg.counter("am_server_connections_accepted_total",
-                            "Client connections accepted");
-    slow_requests = &reg.counter(
+        &registry.counter("am_server_cache_hit_responses_total",
+                          "Responses served from the prediction cache");
+    accepted = &registry.counter("am_server_connections_accepted_total",
+                                 "Client connections accepted");
+    slow_requests = &registry.counter(
         "am_server_slow_requests_total",
         "Requests over the --slow-request-us latency threshold");
-    latency = &reg.histogram("am_server_request_latency_us",
-                             "Service latency per request (microseconds)");
-    active_connections =
-        &reg.gauge("am_server_active_connections", "Open client connections");
+    latency = &registry.histogram(
+        "am_server_request_latency_us",
+        "Service latency per request (microseconds)");
+    active_connections = &registry.gauge("am_server_active_connections",
+                                         "Open client connections");
     uptime_seconds =
-        &reg.gauge("am_server_uptime_seconds", "Seconds since start()");
-    // The cache / simulator counters consulted for derived scrape families;
-    // interning here guarantees they exist even before any handler ran.
-    cache_hits = &reg.counter("am_cache_hits_total",
-                              "Prediction-cache lookups served from memory");
-    cache_misses =
-        &reg.counter("am_cache_misses_total",
-                     "Prediction-cache lookups that fell through");
-    sim_cycles = &reg.counter("am_sim_cycles_total",
-                              "Simulated cycles elapsed across all runs");
+        &registry.gauge("am_server_uptime_seconds", "Seconds since start()");
   }
 
+  obs::metrics::Registry registry;
   obs::metrics::Counter* by_kind[kRequestKindCount] = {};
   obs::metrics::Counter* responses = nullptr;
   obs::metrics::Counter* parse_errors = nullptr;
@@ -105,11 +97,15 @@ struct Server::Telemetry {
   obs::metrics::Histogram* latency = nullptr;
   obs::metrics::Gauge* active_connections = nullptr;
   obs::metrics::Gauge* uptime_seconds = nullptr;
-  obs::metrics::Counter* cache_hits = nullptr;
-  obs::metrics::Counter* cache_misses = nullptr;
-  obs::metrics::Counter* sim_cycles = nullptr;
 
   obs::metrics::RollingWindows windows;
+  /// The process-wide layers, windowed for am_sim_cycles_per_second.
+  obs::metrics::RollingWindows layer_windows{
+      obs::metrics::default_registry()};
+  const obs::metrics::Counter& sim_cycles =
+      obs::metrics::default_registry().counter(
+          "am_sim_cycles_total", "Simulated cycles elapsed across all runs");
+
   std::thread sampler;
   std::mutex mu;
   std::condition_variable cv;
@@ -117,7 +113,9 @@ struct Server::Telemetry {
 };
 
 Server::Server(RequestHandler& handler, ServerConfig config)
-    : handler_(handler), config_(std::move(config)) {
+    : handler_(handler),
+      config_(std::move(config)),
+      books_(std::make_unique<Books>()) {
   if (config_.service_threads == 0) config_.service_threads = 1;
   ensure_shutdown_pipe();
 }
@@ -176,16 +174,20 @@ bool Server::start(std::string* error) {
 
   start_time_ = std::chrono::steady_clock::now();
   if (config_.metrics) {
-    telemetry_ = std::make_unique<Telemetry>(obs::metrics::default_registry());
-    telemetry_->windows.sample(0);  // t=0 baseline: windows answer from boot
-    telemetry_->sampler = std::thread([this] {
-      Telemetry& t = *telemetry_;
-      std::unique_lock<std::mutex> lock(t.mu);
-      while (!t.stop) {
-        t.cv.wait_for(lock, std::chrono::milliseconds(250));
-        if (t.stop) break;
+    Books& b = *books_;
+    // t=0 baseline: windows answer from boot.
+    b.windows.sample(0);
+    b.layer_windows.sample(0);
+    b.sampler = std::thread([this] {
+      Books& b = *books_;
+      std::unique_lock<std::mutex> lock(b.mu);
+      while (!b.stop) {
+        b.cv.wait_for(lock, std::chrono::milliseconds(250));
+        if (b.stop) break;
         lock.unlock();
-        t.windows.sample(uptime_ms());
+        const std::uint64_t now = uptime_ms();
+        b.windows.sample(now);
+        b.layer_windows.sample(now);
         lock.lock();
       }
     });
@@ -207,13 +209,13 @@ void Server::wait() {
   }
   job_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
-  if (telemetry_ != nullptr && telemetry_->sampler.joinable()) {
+  if (books_->sampler.joinable()) {
     {
-      std::lock_guard<std::mutex> lock(telemetry_->mu);
-      telemetry_->stop = true;
+      std::lock_guard<std::mutex> lock(books_->mu);
+      books_->stop = true;
     }
-    telemetry_->cv.notify_all();
-    telemetry_->sampler.join();
+    books_->cv.notify_all();
+    books_->sampler.join();
   }
   joined_ = true;
 }
@@ -316,11 +318,7 @@ void Server::poll_loop() {
             conn->fd = cfd;
             conn->id = next_conn_id++;
             connections_.push_back(std::move(conn));
-            {
-              std::lock_guard<std::mutex> slock(stats_mu_);
-              ++accepted_;
-            }
-            if (telemetry_ != nullptr) telemetry_->accepted->inc();
+            books_->accepted->inc();
           }
         }
       }
@@ -435,11 +433,8 @@ void Server::process(std::shared_ptr<Connection> conn) {
   // The request id is minted when the line is dequeued, before any handler
   // runs, so the trace events a simulate emits mid-flight and the request's
   // own issue/done span agree on the id.
-  std::uint64_t req_id = 0;
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    req_id = ++next_req_id_;
-  }
+  const std::uint64_t req_id =
+      next_req_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   std::string response;
   RequestKind kind = RequestKind::kPing;
   bool ok = true;
@@ -450,8 +445,6 @@ void Server::process(std::shared_ptr<Connection> conn) {
   if (!request.has_value()) {
     response = make_error_response("", parse_error);
     ok = false;
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++parse_errors_;
   } else {
     kind = request->kind;
     if (request->kind == RequestKind::kStats) {
@@ -481,7 +474,7 @@ void Server::process(std::shared_ptr<Connection> conn) {
   record_request(kind, request.has_value(), ok, cache_hit, latency_us,
                  conn->id, req_id);
   if (config_.slow_request_us > 0.0 && latency_us >= config_.slow_request_us) {
-    if (telemetry_ != nullptr) telemetry_->slow_requests->inc();
+    books_->slow_requests->inc();
     // One structured line per slow request; req_id is the join key into the
     // trace file.
     std::fprintf(stderr,
@@ -503,27 +496,18 @@ void Server::process(std::shared_ptr<Connection> conn) {
 void Server::record_request(RequestKind kind, bool parsed, bool ok,
                             bool cache_hit, double latency_us,
                             std::uint32_t conn_id, std::uint64_t req_id) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    // Unparseable lines have no kind; they are tallied as parse_errors only.
-    if (parsed) ++requests_by_kind_[static_cast<std::size_t>(kind)];
-    if (parsed && !ok) ++handler_errors_;
-    if (cache_hit) ++cache_hit_responses_;
-    latency_us_.add(latency_us);
+  Books& b = *books_;
+  b.responses->inc();
+  // Unparseable lines have no kind; they are tallied as parse_errors only.
+  if (parsed) {
+    b.by_kind[static_cast<std::size_t>(kind)]->inc();
+    if (!ok) b.handler_errors->inc();
+  } else {
+    b.parse_errors->inc();
   }
-  if (telemetry_ != nullptr) {
-    Telemetry& t = *telemetry_;
-    t.responses->inc();
-    if (parsed) {
-      t.by_kind[static_cast<std::size_t>(kind)]->inc();
-      if (!ok) t.handler_errors->inc();
-    } else {
-      t.parse_errors->inc();
-    }
-    if (cache_hit) t.cache_hit_responses->inc();
-    t.latency->observe(
-        static_cast<std::uint64_t>(latency_us < 0.0 ? 0.0 : latency_us));
-  }
+  if (cache_hit) b.cache_hit_responses->inc();
+  b.latency->observe(
+      static_cast<std::uint64_t>(latency_us < 0.0 ? 0.0 : latency_us));
   if (config_.trace != nullptr) {
     // One issue/done pair per request on the structured trace seam: the
     // connection plays the core, the request kind the primitive, and the
@@ -543,43 +527,25 @@ void Server::record_request(RequestKind kind, bool parsed, bool ok,
     done.time = now_us;
     done.success = ok;
     done.latency = static_cast<std::uint64_t>(latency_us);
-    std::lock_guard<std::mutex> lock(stats_mu_);
     config_.trace->on_event(issue);
     config_.trace->on_event(done);
   }
 }
 
 std::string Server::stats_json() const {
+  const Books& b = *books_;
   std::uint64_t by_kind[kRequestKindCount];
-  std::uint64_t parse_errors = 0;
-  std::uint64_t handler_errors = 0;
-  std::uint64_t cache_hit_responses = 0;
-  std::uint64_t accepted = 0;
-  double uptime_s = 0.0;
-  double lat_count = 0.0, lat_mean = 0.0, lat_p50 = 0.0, lat_p90 = 0.0,
-         lat_p99 = 0.0, lat_min = 0.0, lat_max = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    for (std::size_t i = 0; i < kRequestKindCount; ++i) {
-      by_kind[i] = requests_by_kind_[i];
-    }
-    parse_errors = parse_errors_;
-    handler_errors = handler_errors_;
-    cache_hit_responses = cache_hit_responses_;
-    accepted = accepted_;
-    uptime_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             start_time_)
-                   .count();
-    lat_count = static_cast<double>(latency_us_.total_count());
-    if (latency_us_.total_count() > 0) {
-      lat_mean = latency_us_.mean();
-      lat_p50 = latency_us_.value_at_percentile(50.0);
-      lat_p90 = latency_us_.value_at_percentile(90.0);
-      lat_p99 = latency_us_.value_at_percentile(99.0);
-      lat_min = latency_us_.observed_min();
-      lat_max = latency_us_.observed_max();
-    }
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < kRequestKindCount; ++i) {
+    by_kind[i] = b.by_kind[i]->value();
+    total += by_kind[i];
   }
+  const std::uint64_t parse_errors = b.parse_errors->value();
+  total += parse_errors;
+  const auto latency = b.latency->bucket_counts();
+  std::uint64_t lat_count = 0;
+  for (const std::uint64_t n : latency) lat_count += n;
+  const double uptime_s = static_cast<double>(uptime_ms()) / 1000.0;
   std::size_t active = 0;
   bool draining = false;
   {
@@ -588,68 +554,48 @@ std::string Server::stats_json() const {
     draining = draining_;
   }
 
-  std::uint64_t total = 0;
-  for (const std::uint64_t n : by_kind) total += n;
-  total += parse_errors;
-
   std::ostringstream os;
   JsonWriter w(os);
   w.begin_object();
-  w.kv("schema", "am-serve-stats/1");
+  w.kv("schema", "am-serve-stats/2");
   w.kv("uptime_s", uptime_s);
   // Lifetime average — misleading for a long-lived daemon with bursty load
   // (it decays towards zero between bursts), kept for compatibility. The
   // rolling-window rates next to it are what dashboards should read.
-  w.kv("qps", uptime_s > 0.0 ? static_cast<double>(total) / uptime_s : 0.0);
+  const double lifetime =
+      uptime_s > 0.0 ? static_cast<double>(total) / uptime_s : 0.0;
+  w.kv("qps", lifetime);
   {
-    const double lifetime =
-        uptime_s > 0.0 ? static_cast<double>(total) / uptime_s : 0.0;
-    double q1 = lifetime, q10 = lifetime, q60 = lifetime;
-    if (telemetry_ != nullptr) {
-      const std::uint64_t now = uptime_ms();
-      if (const auto d = telemetry_->windows.delta(*telemetry_->responses,
-                                                   1.0, now)) {
-        q1 = d->rate();
-      }
-      if (const auto d = telemetry_->windows.delta(*telemetry_->responses,
-                                                   10.0, now)) {
-        q10 = d->rate();
-      }
-      if (const auto d = telemetry_->windows.delta(*telemetry_->responses,
-                                                   60.0, now)) {
-        q60 = d->rate();
-      }
+    const std::uint64_t now = uptime_ms();
+    for (const auto& [key, seconds] : {std::pair{"qps_1s", 1.0},
+                                       std::pair{"qps_10s", 10.0},
+                                       std::pair{"qps_60s", 60.0}}) {
+      const auto d = b.windows.delta(*b.responses, seconds, now);
+      w.kv(key, d ? d->rate() : lifetime);
     }
-    w.kv("qps_1s", q1);
-    w.kv("qps_10s", q10);
-    w.kv("qps_60s", q60);
   }
   w.key("requests").begin_object();
   w.kv("total", total);
-  w.kv("predict", by_kind[static_cast<std::size_t>(RequestKind::kPredict)]);
-  w.kv("advise", by_kind[static_cast<std::size_t>(RequestKind::kAdvise)]);
-  w.kv("calibrate",
-       by_kind[static_cast<std::size_t>(RequestKind::kCalibrate)]);
-  w.kv("simulate", by_kind[static_cast<std::size_t>(RequestKind::kSimulate)]);
-  w.kv("stats", by_kind[static_cast<std::size_t>(RequestKind::kStats)]);
-  w.kv("ping", by_kind[static_cast<std::size_t>(RequestKind::kPing)]);
-  w.kv("metrics", by_kind[static_cast<std::size_t>(RequestKind::kMetrics)]);
-  w.kv("run_guest", by_kind[static_cast<std::size_t>(RequestKind::kRunGuest)]);
+  for (std::size_t i = 0; i < kRequestKindCount; ++i) {
+    w.kv(to_string(static_cast<RequestKind>(i)), by_kind[i]);
+  }
   w.kv("parse_errors", parse_errors);
-  w.kv("handler_errors", handler_errors);
+  w.kv("handler_errors", b.handler_errors->value());
+  w.kv("cache_hit_responses", b.cache_hit_responses->value());
   w.end_object();
+  // The same log2 histogram the scrape exposes and the windows subtract.
   w.key("latency_us").begin_object();
   w.kv("count", lat_count);
-  w.kv("mean", lat_mean);
-  w.kv("p50", lat_p50);
-  w.kv("p90", lat_p90);
-  w.kv("p99", lat_p99);
-  w.kv("min", lat_min);
-  w.kv("max", lat_max);
+  w.kv("mean", lat_count > 0 ? static_cast<double>(b.latency->sum()) /
+                                   static_cast<double>(lat_count)
+                             : 0.0);
+  w.kv("p50", obs::metrics::bucket_percentile(latency, 50.0));
+  w.kv("p90", obs::metrics::bucket_percentile(latency, 90.0));
+  w.kv("p99", obs::metrics::bucket_percentile(latency, 99.0));
   w.end_object();
   handler_.append_stats(w);  // "cache" for ServiceCore, "fleet" for a router
   w.key("connections").begin_object();
-  w.kv("accepted", accepted);
+  w.kv("accepted", b.accepted->value());
   w.kv("active", std::uint64_t{active});
   w.end_object();
   w.kv("service_threads", std::uint64_t{config_.service_threads});
@@ -660,27 +606,26 @@ std::string Server::stats_json() const {
 
 std::string Server::metrics_text() const {
   namespace m = obs::metrics;
-  if (telemetry_ != nullptr) {
-    // Point-in-time gauges refresh at scrape time — there is no sampler for
-    // values that are cheap to read exactly.
-    std::size_t active = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      active = connections_.size();
-    }
-    telemetry_->active_connections->set(static_cast<double>(active));
-    telemetry_->uptime_seconds->set(static_cast<double>(uptime_ms()) /
-                                    1000.0);
+  const Books& b = *books_;
+  // Point-in-time gauges refresh at scrape time — there is no sampler for
+  // values that are cheap to read exactly.
+  std::size_t active = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    active = connections_.size();
   }
+  b.active_connections->set(static_cast<double>(active));
+  b.uptime_seconds->set(static_cast<double>(uptime_ms()) / 1000.0);
 
   std::string out;
   m::PromWriter w(out);
+  m::render_prometheus(b.registry, w);
+  handler_.append_metrics(w);
   m::render_prometheus(m::default_registry(), w);
-  if (telemetry_ == nullptr) return out;
+  if (!config_.metrics) return out;
 
   // Derived rolling-window families. These are scrape-time arithmetic over
-  // the snapshot ring — the write path never sees them.
-  Telemetry& t = *telemetry_;
+  // the snapshot rings — the write path never sees them.
   const std::uint64_t now = uptime_ms();
   struct Win {
     const char* label;
@@ -691,7 +636,7 @@ std::string Server::metrics_text() const {
   w.family("am_qps", "Requests per second over a rolling window",
            m::Type::kGauge);
   for (const Win& win : kWins) {
-    const auto d = t.windows.delta(*t.responses, win.seconds, now);
+    const auto d = b.windows.delta(*b.responses, win.seconds, now);
     w.sample("am_qps", {{"window", win.label}}, d ? d->rate() : 0.0);
   }
 
@@ -699,9 +644,9 @@ std::string Server::metrics_text() const {
            "Request latency quantiles over a rolling window (microseconds)",
            m::Type::kGauge);
   for (const Win& win : kWins) {
-    const auto h = t.windows.histogram_delta(*t.latency, win.seconds, now);
+    const auto h = b.windows.histogram_delta(*b.latency, win.seconds, now);
     for (const double q : {50.0, 90.0, 99.0}) {
-      char qbuf[8];
+      char qbuf[16];
       std::snprintf(qbuf, sizeof qbuf, "%g", q / 100.0);
       w.sample("am_request_latency_window_us",
                {{"window", win.label}, {"quantile", qbuf}},
@@ -709,23 +654,33 @@ std::string Server::metrics_text() const {
     }
   }
 
+  // Responses served from the handler's cache over requests of cacheable
+  // kinds. On a ServiceCore, which does exactly one LRU lookup per
+  // cacheable request, this is the LRU's own hit ratio.
   w.family("am_cache_hit_ratio",
            "Prediction-cache hit ratio over a rolling window",
            m::Type::kGauge);
   for (const Win& win : kWins) {
-    const auto hits = t.windows.delta(*t.cache_hits, win.seconds, now);
-    const auto misses = t.windows.delta(*t.cache_misses, win.seconds, now);
-    const double h = hits ? static_cast<double>(hits->count) : 0.0;
-    const double miss = misses ? static_cast<double>(misses->count) : 0.0;
+    const auto hits =
+        b.windows.delta(*b.cache_hit_responses, win.seconds, now);
+    std::uint64_t lookups = 0;
+    for (std::size_t i = 0; i < kRequestKindCount; ++i) {
+      if (!is_cacheable(static_cast<RequestKind>(i))) continue;
+      if (const auto d = b.windows.delta(*b.by_kind[i], win.seconds, now)) {
+        lookups += d->count;
+      }
+    }
     w.sample("am_cache_hit_ratio", {{"window", win.label}},
-             h + miss > 0.0 ? h / (h + miss) : 0.0);
+             hits && lookups > 0 ? static_cast<double>(hits->count) /
+                                       static_cast<double>(lookups)
+                                 : 0.0);
   }
 
   w.family("am_sim_cycles_per_second",
            "Simulated cycles retired per wall-clock second (rolling)",
            m::Type::kGauge);
   for (const Win& win : kWins) {
-    const auto d = t.windows.delta(*t.sim_cycles, win.seconds, now);
+    const auto d = b.layer_windows.delta(b.sim_cycles, win.seconds, now);
     w.sample("am_sim_cycles_per_second", {{"window", win.label}},
              d ? d->rate() : 0.0);
   }

@@ -14,8 +14,17 @@
 // self-pipe) and is what the SIGTERM/SIGINT handlers call. The poller then
 // stops accepting, closes idle connections, lets in-flight and
 // already-received requests finish, and wait() returns — a clean drain.
+//
+// Books: each Server keeps its tallies (per-kind requests, errors, cache-hit
+// responses, connections, the latency histogram) once, as am_server_*
+// instruments in an obs::metrics::Registry of its own. stats_json(), the
+// Prometheus scrape and the rolling windows all read those instruments, so
+// the two outputs cannot drift apart and two servers in one process never
+// mix their counts. Recording a request is a handful of relaxed fetch-adds
+// on per-thread shards; no worker takes a shared lock to count.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -26,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "obs/trace.hpp"
 #include "service/handlers.hpp"
 #include "service/net.hpp"
@@ -44,8 +52,9 @@ struct ServerConfig {
   /// Must be thread-safe (wrap in obs::SynchronizedTraceSink) — workers and
   /// embedded simulator runs emit concurrently.
   obs::TraceSink* trace = nullptr;
-  /// Registers server instruments in obs::metrics::default_registry() and
-  /// runs the rolling-window sampler thread. Off for overhead A/B runs.
+  /// Runs the rolling-window sampler thread (qps_1s/10s/60s and the
+  /// window families of the scrape). The server's own books are kept either
+  /// way. Off for overhead A/B runs.
   bool metrics = true;
   /// Requests whose service latency exceeds this many microseconds are
   /// logged to stderr as one structured JSON line each. 0 disables.
@@ -84,11 +93,13 @@ class Server {
   /// The stats response body (also served to `{"kind":"stats"}` requests).
   std::string stats_json() const;
 
-  /// Prometheus text exposition (format 0.0.4): every instrument in
-  /// obs::metrics::default_registry() plus scrape-time derived families
-  /// (rolling qps, window latency quantiles, cache hit ratio, simulated
-  /// cycles/s). Served to `{"kind":"metrics"}` requests wrapped in a JSON
-  /// envelope as result.text.
+  /// Prometheus text exposition (format 0.0.4): this server's am_server_*
+  /// books, the handler's families (RequestHandler::append_metrics), the
+  /// process-wide layers in obs::metrics::default_registry() (simulator,
+  /// sweep engine, guest frontend), and — with the sampler running —
+  /// scrape-time window families (qps, latency quantiles, cache hit ratio,
+  /// simulated cycles/s). Served to `{"kind":"metrics"}` requests wrapped
+  /// in a JSON envelope as result.text.
   std::string metrics_text() const;
 
  private:
@@ -107,7 +118,6 @@ class Server {
   void handle_readable(Connection& conn);
   void dispatch_locked(Connection& conn);
   void process(std::shared_ptr<Connection> conn);
-  void close_connection(const std::shared_ptr<Connection>& conn);
   void record_request(RequestKind kind, bool parsed, bool ok, bool cache_hit,
                       double latency_us, std::uint32_t conn_id,
                       std::uint64_t req_id);
@@ -132,24 +142,13 @@ class Server {
   bool stop_workers_ = false;
   bool draining_ = false;
 
-  // --- stats (guarded by stats_mu_) ---------------------------------------
-  mutable std::mutex stats_mu_;
-  std::uint64_t requests_by_kind_[kRequestKindCount] = {};
-  std::uint64_t parse_errors_ = 0;
-  std::uint64_t handler_errors_ = 0;
-  std::uint64_t cache_hit_responses_ = 0;
-  std::uint64_t accepted_ = 0;
-  LogHistogram latency_us_{0.1, 1e8, 16};
-  std::chrono::steady_clock::time_point start_time_;
-  std::uint64_t next_req_id_ = 0;
+  std::chrono::steady_clock::time_point start_time_;  ///< set by start()
+  std::atomic<std::uint64_t> next_req_id_{0};
 
-  // --- telemetry (registry instruments + rolling windows) ------------------
-  // Defined in server.cpp; created by start() when config_.metrics. The
-  // instruments live in the process-wide default registry (so simulator and
-  // sweep counters appear in the same scrape); Telemetry holds borrowed
-  // pointers plus the sampler thread feeding the snapshot ring.
-  struct Telemetry;
-  std::unique_ptr<Telemetry> telemetry_;
+  // The books (see file comment) plus the rolling windows over them and the
+  // sampler thread feeding the windows. Defined in server.cpp.
+  struct Books;
+  std::unique_ptr<Books> books_;
 
   std::condition_variable job_cv_;
 };

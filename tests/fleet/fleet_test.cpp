@@ -30,6 +30,7 @@
 #include "fleet/chaos.hpp"
 #include "fleet/router.hpp"
 #include "fleet/supervisor.hpp"
+#include "obs/prometheus.hpp"
 #include "service/client.hpp"
 #include "service/handlers.hpp"
 #include "service/protocol.hpp"
@@ -65,7 +66,6 @@ FleetConfig fast_config(std::size_t workers) {
   config.health_interval_ms = 50;
   config.probe_timeout_ms = 1000;
   config.restart_backoff_ms = 20;
-  config.metrics = false;
   return config;
 }
 
@@ -77,7 +77,6 @@ struct LiveFleet {
   explicit LiveFleet(FleetConfig fleet_config, RouterConfig router_config = {})
       : supervisor(std::move(fleet_config)),
         router(supervisor, [&router_config] {
-          router_config.metrics = false;
           return router_config;
         }()) {
     std::string error;
@@ -381,6 +380,34 @@ TEST(Fleet, DeadFleetPromotesSimulateIntoSharedDiskCache) {
   EXPECT_FALSE(miss.ok);
   EXPECT_EQ(service::response_error_code(miss.response),
             service::errcode::kUnavailable);
+}
+
+TEST(Fleet, RouterScrapeRendersItsAndItsSupervisorsBooks) {
+  ASSERT_FALSE(serve_binary().empty());
+  LiveFleet fleet(fast_config(1));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(fleet.handle(R"({"kind":"predict","prim":"FAA","threads":4})")
+                    .ok);
+  }
+  const auto status = fleet.supervisor.status();
+  ASSERT_GT(status[0].pid, 0);
+  ::kill(status[0].pid, SIGKILL);
+  ASSERT_TRUE(wait_until(
+      [&] {
+        return fleet.supervisor.total_restarts() >= 1 &&
+               fleet.supervisor.workers_up() == 1;
+      },
+      10000));
+
+  std::string text;
+  obs::metrics::PromWriter w(text);
+  fleet.router.append_metrics(w);
+  const auto samples = obs::metrics::parse_prometheus_text(text);
+  EXPECT_EQ(obs::metrics::find_sample(samples, "am_fleet_forwarded_total"),
+            static_cast<double>(fleet.router.forwarded()));
+  EXPECT_EQ(obs::metrics::find_sample(samples, "am_fleet_restarts_total"),
+            static_cast<double>(fleet.supervisor.total_restarts()));
+  EXPECT_EQ(obs::metrics::find_sample(samples, "am_fleet_workers_up"), 1.0);
 }
 
 TEST(Fleet, ChaosKillScheduleKeepsFleetServing) {

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "common/json.hpp"
+#include "common/sha256.hpp"
 #include "service/protocol.hpp"
 
 namespace am::service {
@@ -141,6 +142,18 @@ TEST(Canonical, FormIsItselfValidJson) {
   // Canonicalizing the canonical form is a fixed point.
   const Request again = must_parse(canon);
   EXPECT_EQ(canonical_request(again), canon);
+}
+
+TEST(Canonical, KeyIsTruncatedSha256OfTheCanonicalForm) {
+  for (const char* line : {
+           R"({"kind":"predict","prim":"FAA","threads":8,"work":12.5})",
+           R"({"kind":"advise","target":"lock","threads":4})",
+           R"({"kind":"simulate","machine":"test","prim":"CAS","threads":2})",
+       }) {
+    const Request r = must_parse(line);
+    EXPECT_EQ(request_cache_key(r), sha256_hex(canonical_request(r), 16))
+        << line;
+  }
 }
 
 TEST(ChainHash, SaltsAndContentBothMatter) {

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,6 +109,26 @@ TEST(ServiceCore, SimulateRunsAndCaches) {
   EXPECT_FALSE(other.cache_hit);
 }
 
+TEST(ServiceCore, SpellingsSharingAKeyGetByteIdenticalRepliesUncached) {
+  // Both works print as 999.999999999 at the canonical 12 significant
+  // digits, so they share a cache key; an uncached core must answer them
+  // with identical bytes too, or whichever arrives first decides what a
+  // caching core serves for both.
+  ServiceConfig config;
+  config.cache_capacity = 0;
+  ServiceCore core(config);
+  const Request a = parse_or_die(
+      R"({"kind":"predict","prim":"FAA","threads":7,"work":999.9999999991})");
+  const Request b = parse_or_die(
+      R"({"kind":"predict","prim":"FAA","threads":7,"work":999.9999999989})");
+  ASSERT_EQ(request_cache_key(a), request_cache_key(b));
+  const auto first = core.handle(a);
+  const auto second = core.handle(b);
+  ASSERT_TRUE(first.ok) << first.response;
+  EXPECT_FALSE(second.cache_hit);
+  EXPECT_EQ(first.response, second.response);
+}
+
 // --- Server over real sockets ------------------------------------------------
 
 struct LiveServer {
@@ -164,7 +186,7 @@ TEST(Server, ServesAllKindsOverTcp) {
                 .find("backoff_cycles"),
             std::string::npos);
   const std::string stats = roundtrip_or_die(client, R"({"kind":"stats"})");
-  EXPECT_NE(stats.find("am-serve-stats/1"), std::string::npos);
+  EXPECT_NE(stats.find("am-serve-stats/2"), std::string::npos);
   // A malformed line gets an error envelope, and the connection survives.
   EXPECT_NE(roundtrip_or_die(client, "this is not json")
                 .find("\"ok\":false"),
@@ -393,6 +415,87 @@ TEST(Server, MetricsScrapeExposesPrometheusText) {
   EXPECT_TRUE(obs::metrics::find_sample(samples, "am_cache_hit_ratio",
                                         {{"window", "60s"}})
                   .has_value());
+}
+
+std::string scrape_or_die(ServiceClient& client) {
+  const auto doc =
+      JsonValue::parse(roundtrip_or_die(client, R"({"kind":"metrics"})"));
+  EXPECT_TRUE(doc.has_value());
+  if (!doc.has_value()) return "";
+  return doc->find("result")->find("text")->as_string();
+}
+
+TEST(Server, ScrapeAndStatsReadThisServersBooks) {
+  // Traffic on an earlier server must not leak into a later one's scrape.
+  {
+    LiveServer first;
+    ServiceClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(first.endpoint, &error)) << error;
+    roundtrip_or_die(client, R"({"kind":"ping"})");
+    roundtrip_or_die(client, R"({"kind":"predict","prim":"FAA","threads":4})");
+  }
+  LiveServer live;
+  ServiceClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(live.endpoint, &error)) << error;
+  roundtrip_or_die(client, R"({"kind":"ping"})");
+  roundtrip_or_die(client, R"({"kind":"predict","prim":"FAA","threads":4})");
+  const auto live_samples =
+      obs::metrics::parse_prometheus_text(scrape_or_die(client));
+  EXPECT_EQ(obs::metrics::find_sample(live_samples, "am_server_requests_total",
+                                      {{"kind", "ping"}}),
+            1.0);
+  EXPECT_EQ(obs::metrics::find_sample(live_samples, "am_server_requests_total",
+                                      {{"kind", "predict"}}),
+            1.0);
+
+  // Once drained, every request is recorded: the scrape and the stats
+  // document read the same books, so they agree exactly.
+  Server::request_shutdown();
+  live.server.wait();
+  const auto samples =
+      obs::metrics::parse_prometheus_text(live.server.metrics_text());
+  const auto stats = JsonValue::parse(live.server.stats_json());
+  ASSERT_TRUE(stats.has_value());
+  const double latency_count =
+      stats->find("latency_us")->find("count")->as_number();
+  EXPECT_EQ(latency_count, 3.0);  // ping, predict, metrics
+  EXPECT_EQ(obs::metrics::find_sample(samples,
+                                      "am_server_request_latency_us_count"),
+            latency_count);
+  EXPECT_EQ(obs::metrics::find_sample(samples, "am_server_requests_total",
+                                      {{"kind", "predict"}}),
+            stats->find("requests")->find("predict")->as_number());
+  EXPECT_EQ(obs::metrics::find_sample(samples, "am_cache_misses_total"),
+            stats->find("cache")->find("misses")->as_number());
+}
+
+TEST(Server, ScrapeRendersEveryFamilyOnce) {
+  LiveServer live;
+  ServiceClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(live.endpoint, &error)) << error;
+  roundtrip_or_die(client, R"({"kind":"ping"})");
+  roundtrip_or_die(client, R"({"kind":"predict","prim":"FAA","threads":4})");
+  roundtrip_or_die(
+      client, R"({"kind":"simulate","machine":"test","prim":"FAA","threads":2})");
+  const std::string text = scrape_or_die(client);
+  // Families come from the server's books, the handler and the process-wide
+  // layers; none may be rendered by two of them.
+  std::map<std::string, int> type_lines;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    ++type_lines[line.substr(7, line.find(' ', 7) - 7)];
+  }
+  for (const char* family : {"am_server_requests_total", "am_cache_hits_total",
+                             "am_sim_runs_total", "am_qps"}) {
+    EXPECT_EQ(type_lines.count(family), 1u) << family;
+  }
+  for (const auto& [family, n] : type_lines) {
+    EXPECT_EQ(n, 1) << family;
+  }
 }
 
 TEST(Server, MetricsDisabledStillAnswersStats) {

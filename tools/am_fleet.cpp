@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
                "chaos driver: SIGSTOP a random worker this often (0 = off)",
                "0", CliParser::FlagKind::kInt);
   cli.add_flag("metrics",
-               "fleet counters in the registry and the {\"kind\":\"metrics\"} "
-               "scrape",
+               "rolling-window sampler and simulator/sweep counter "
+               "publication (the front's own books and the scrape stay on)",
                "true", CliParser::FlagKind::kBool);
   if (!cli.parse(argc, argv)) return 2;
 
@@ -132,7 +132,6 @@ int main(int argc, char** argv) {
       static_cast<int>(std::max<std::int64_t>(1, cli.get_int("circuit-cooloff-ms")));
   fleet_config.max_inflight =
       static_cast<int>(std::max<std::int64_t>(1, cli.get_int("max-inflight")));
-  fleet_config.metrics = metrics_on;
   fleet_config.chaos = &chaos;
   if (cli.get_int("max-point-cycles") != 0) {
     fleet_config.worker_args.push_back(
@@ -171,7 +170,6 @@ int main(int argc, char** argv) {
       static_cast<int>(std::max<std::int64_t>(0, cli.get_int("failover-retries")));
   router_config.stale_capacity = static_cast<std::size_t>(
       std::max<std::int64_t>(0, cli.get_int("stale-capacity")));
-  router_config.metrics = metrics_on;
   router_config.chaos = &chaos;
   am::fleet::Router router(supervisor, router_config);
 

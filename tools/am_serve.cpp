@@ -60,8 +60,9 @@ int main(int argc, char** argv) {
   cli.add_flag("verbose", "log one line per request to stderr", "false",
                CliParser::FlagKind::kBool);
   cli.add_flag("metrics",
-               "live telemetry: registry counters, rolling windows and the "
-               "{\"kind\":\"metrics\"} Prometheus scrape",
+               "live telemetry: rolling windows (qps_1s.., window families "
+               "of the {\"kind\":\"metrics\"} scrape) and simulator/sweep/"
+               "guest counter publication",
                "true", CliParser::FlagKind::kBool);
   cli.add_flag("slow-request-us",
                "log a structured stderr line for requests slower than this "
