@@ -19,12 +19,11 @@ namespace {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("A1: arbitration and backoff ablations");
-  bench_util::add_common_flags(cli);
-  cli.add_flag("machine", "sim preset: xeon | knl", "xeon");
+  bench_util::add_common_flags(cli, bench_util::kBackend | bench_util::kTrace);
   cli.add_flag("ablation-threads", "thread count for the ablations", "16");
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
-  const sim::MachineConfig base = sim::preset_by_name(cli.get("machine"));
+  const sim::MachineConfig base = bench_util::sim_machine(cli);
   const auto n = static_cast<std::uint32_t>(cli.get_int("ablation-threads"));
 
   // --- 1. arbitration policy ------------------------------------------------
@@ -137,4 +136,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

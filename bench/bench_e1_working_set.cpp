@@ -16,12 +16,11 @@ namespace {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("E1: private working-set sweep (capacity cliff)");
-  bench_util::add_common_flags(cli);
-  cli.add_flag("machine", "sim preset: xeon | knl | test", "xeon");
+  bench_util::add_common_flags(cli, bench_util::kBackend | bench_util::kTrace);
   cli.add_flag("capacity", "private cache capacity in lines", "512");
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
-  sim::MachineConfig cfg = sim::preset_by_name(cli.get("machine"));
+  sim::MachineConfig cfg = bench_util::sim_machine(cli);
   const auto capacity = static_cast<std::uint32_t>(cli.get_int("capacity"));
   cfg.cache_capacity_lines = capacity;
   bench::SimBackend backend(cfg);
@@ -66,4 +65,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

@@ -16,12 +16,11 @@ namespace {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("E2: sharded-counter sweep");
-  bench_util::add_common_flags(cli);
-  cli.add_flag("machine", "sim preset: xeon | knl", "xeon");
+  bench_util::add_common_flags(cli, bench_util::kBackend | bench_util::kTrace);
   cli.add_flag("writer-threads", "number of incrementing threads", "32");
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
-  const sim::MachineConfig cfg = sim::preset_by_name(cli.get("machine"));
+  const sim::MachineConfig cfg = bench_util::sim_machine(cli);
   bench::SimBackend backend(cfg);
   bench_util::apply_obs(cli, backend);
   const model::BouncingModel model(model::ModelParams::from_machine(cfg));
@@ -59,4 +58,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

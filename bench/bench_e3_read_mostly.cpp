@@ -15,13 +15,14 @@ namespace {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("E3: read-mostly mix, throughput vs write fraction");
-  bench_util::add_common_flags(cli);
+  bench_util::add_common_flags(cli, bench_util::kBackend | bench_util::kTrace);
   cli.add_flag("write-prim", "write primitive (FAA | STORE | SWP | CAS)",
                "FAA");
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
-  auto backend = bench_util::backend_from(cli);
-  const model::BouncingModel model(bench_util::params_for(cli.get("backend")));
+  const bench::BackendSpec spec = bench::parse_backend_spec(cli.get("backend"));
+  auto backend = bench_util::backend_from(cli, spec);
+  const model::BouncingModel model(bench_util::params_for(spec));
   const Primitive write_prim =
       parse_primitive(cli.get("write-prim")).value_or(Primitive::kFaa);
 
@@ -63,4 +64,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

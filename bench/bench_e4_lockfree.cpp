@@ -18,12 +18,12 @@ namespace {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("E4: Treiber stack on the coherence machine");
-  bench_util::add_common_flags(cli);
-  cli.add_flag("machine", "sim preset: xeon | knl", "xeon");
+  bench_util::add_common_flags(cli,
+                               bench_util::kBackend | bench_util::kThreads);
   cli.add_flag("work", "cycles of local work between stack ops", "0");
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
-  const sim::MachineConfig cfg = sim::preset_by_name(cli.get("machine"));
+  const sim::MachineConfig cfg = bench_util::sim_machine(cli);
   const model::BouncingModel model(model::ModelParams::from_machine(cfg));
   const auto work = static_cast<sim::Cycles>(cli.get_int("work"));
 
@@ -89,4 +89,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

@@ -13,14 +13,17 @@ namespace {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("F1: high-contention throughput vs threads");
-  bench_util::add_common_flags(cli);
+  bench_util::add_common_flags(
+      cli, bench_util::kBackend | bench_util::kThreads | bench_util::kTrace |
+               bench_util::kSweep);
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
-  auto probe = bench_util::probe_backend(cli);
-  const model::BouncingModel model(bench_util::params_for(cli.get("backend")));
+  const bench::BackendSpec spec = bench::parse_backend_spec(cli.get("backend"));
+  auto probe = bench::make_backend(spec);
+  const model::BouncingModel model(bench_util::params_for(spec));
   const auto thread_points =
       bench_util::thread_sweep(cli, probe->max_threads());
-  auto sweep = bench_util::sweep_from(cli);
+  auto sweep = bench_util::sweep_from(cli, spec);
 
   Table table({"machine", "primitive", "threads", "measured Mops",
                "model Mops", "measured ops/kcy", "model ops/kcy"});
@@ -75,4 +78,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

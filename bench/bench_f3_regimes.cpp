@@ -15,15 +15,17 @@ namespace {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("F3: throughput vs parallel work (two regimes + crossover)");
-  bench_util::add_common_flags(cli);
+  bench_util::add_common_flags(
+      cli, bench_util::kBackend | bench_util::kTrace | bench_util::kSweep);
   cli.add_flag("prim", "primitive to sweep", "FAA");
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
-  auto probe = bench_util::probe_backend(cli);
-  const model::BouncingModel model(bench_util::params_for(cli.get("backend")));
+  const bench::BackendSpec spec = bench::parse_backend_spec(cli.get("backend"));
+  auto probe = bench::make_backend(spec);
+  const model::BouncingModel model(bench_util::params_for(spec));
   const Primitive prim =
       parse_primitive(cli.get("prim")).value_or(Primitive::kFaa);
-  auto sweep = bench_util::sweep_from(cli);
+  auto sweep = bench_util::sweep_from(cli, spec);
 
   Table table({"machine", "threads", "work (cy)", "w/w*", "measured ops/kcy",
                "model ops/kcy", "regime", "crossover w* (cy)"});
@@ -84,4 +86,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

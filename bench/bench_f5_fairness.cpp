@@ -18,11 +18,11 @@ namespace {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("F5: fairness vs threads, arbitration ablation");
-  bench_util::add_common_flags(cli);
-  cli.add_flag("machine", "sim preset: xeon | knl", "xeon");
+  bench_util::add_common_flags(
+      cli, bench_util::kBackend | bench_util::kThreads | bench_util::kTrace);
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
-  const sim::MachineConfig base = sim::preset_by_name(cli.get("machine"));
+  const sim::MachineConfig base = bench_util::sim_machine(cli);
 
   Table table({"machine", "arbitration", "primitive", "threads",
                "Jain (measured)", "Jain (model)", "min/max share"});
@@ -62,4 +62,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

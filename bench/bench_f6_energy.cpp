@@ -15,11 +15,13 @@ namespace {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("F6: energy per operation vs threads");
-  bench_util::add_common_flags(cli);
+  bench_util::add_common_flags(
+      cli, bench_util::kBackend | bench_util::kThreads | bench_util::kTrace);
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
-  auto backend = bench_util::backend_from(cli);
-  const model::BouncingModel model(bench_util::params_for(cli.get("backend")));
+  const bench::BackendSpec spec = bench::parse_backend_spec(cli.get("backend"));
+  auto backend = bench_util::backend_from(cli, spec);
+  const model::BouncingModel model(bench_util::params_for(spec));
   const auto sweep = bench_util::thread_sweep(cli, backend->max_threads());
 
   Table table({"machine", "primitive", "workload", "threads",
@@ -62,4 +64,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

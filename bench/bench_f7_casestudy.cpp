@@ -20,13 +20,13 @@ namespace {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("F7: case study — counters and spinlocks, model vs machine");
-  bench_util::add_common_flags(cli);
-  cli.add_flag("machine", "sim preset: xeon | knl", "xeon");
+  bench_util::add_common_flags(
+      cli, bench_util::kBackend | bench_util::kThreads | bench_util::kTrace);
   cli.add_flag("critical", "critical-section cycles for the lock study", "100");
   cli.add_flag("outside", "cycles outside the lock", "200");
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
-  const sim::MachineConfig cfg = sim::preset_by_name(cli.get("machine"));
+  const sim::MachineConfig cfg = bench_util::sim_machine(cli);
   bench::SimBackend backend(cfg);
   bench_util::apply_obs(cli, backend);
   const model::BouncingModel model(model::ModelParams::from_machine(cfg));
@@ -127,4 +127,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

@@ -36,12 +36,8 @@ int run(int argc, const char* const* argv) {
                "");
   if (!cli.parse(argc, argv)) return 1;
 
-  sim::MachineConfig mc;
-  std::string preset, perr;
-  if (!guest::parse_guest_backend(cli.get("backend"), &mc, &preset, &perr)) {
-    std::cerr << "bench_guest: " << perr << "\n";
-    return 1;
-  }
+  const sim::MachineConfig mc =
+      guest::parse_guest_backend(cli.get("backend")).machine;
 
   std::vector<std::uint32_t> harts;
   for (auto v : cli.get_int_list("harts")) {
@@ -157,4 +153,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

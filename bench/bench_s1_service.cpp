@@ -46,6 +46,7 @@
 #include "service/client.hpp"
 #include "service/handlers.hpp"
 #include "service/server.hpp"
+#include "sim/config.hpp"
 
 namespace {
 
@@ -301,6 +302,12 @@ int main(int argc, char** argv) {
                "");
   cli.add_flag("json-out", "write an am-serve-load/1 JSON report here", "");
   if (!cli.parse(argc, argv)) return 2;
+  if (std::ranges::find(am::sim::kPresetNames, cli.get("machine")) ==
+      am::sim::kPresetNames.end()) {
+    std::cerr << "bench_s1_service: unknown --machine=" << cli.get("machine")
+              << " (want " << am::sim::preset_names(" | ") << ")\n";
+    return 2;
+  }
 
   // Endpoint: external daemon, a self-hosted one on an ephemeral port, or
   // a self-hosted fleet tier (supervisor + router fronting N am_serve

@@ -17,7 +17,8 @@ namespace {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("T1: machine parameter table (configured vs calibrated)");
-  bench_util::add_common_flags(cli);
+  // Fixed to both presets: no --backend, no --threads.
+  bench_util::add_common_flags(cli, bench_util::kTrace | bench_util::kSweep);
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
   Table table({"machine", "cores", "GHz", "topology", "param", "configured",
@@ -26,7 +27,7 @@ int run(int argc, const char* const* argv) {
   // One pooled task per preset: calibration is an adaptive multi-run
   // procedure, so it runs whole on one worker with its runs recorded into a
   // task-local log the engine merges back in submission order.
-  auto sweep = bench_util::sweep_from(cli);
+  auto sweep = bench_util::sweep_from(cli, std::nullopt);
   const std::vector<std::string> presets = {"xeon", "knl"};
   std::vector<model::Calibration> calibrations(presets.size());
   std::vector<std::size_t> task_index(presets.size());
@@ -114,4 +115,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

@@ -26,11 +26,10 @@ struct Situation {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("T2: single-op latency by primitive and line state");
-  bench_util::add_common_flags(cli);
-  cli.add_flag("machine", "sim preset: xeon | knl", "xeon");
+  bench_util::add_common_flags(cli, bench_util::kBackend);
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
-  const sim::MachineConfig cfg = sim::preset_by_name(cli.get("machine"));
+  const sim::MachineConfig cfg = bench_util::sim_machine(cli);
   const model::BouncingModel model(model::ModelParams::from_machine(cfg));
   const auto ic = cfg.make_interconnect();
   const sim::CoreId requester = 0;
@@ -100,4 +99,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

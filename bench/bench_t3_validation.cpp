@@ -15,12 +15,14 @@ namespace {
 
 int run(int argc, const char* const* argv) {
   CliParser cli("T3: model validation grid (predicted vs measured)");
-  bench_util::add_common_flags(cli);
+  bench_util::add_common_flags(
+      cli, bench_util::kBackend | bench_util::kThreads | bench_util::kTrace);
   cli.add_flag("full", "sweep the full grid (slower)", "false");
   if (!am::bench_util::parse_common(cli, argc, argv)) return 1;
 
-  auto backend = bench_util::backend_from(cli);
-  const model::BouncingModel model(bench_util::params_for(cli.get("backend")));
+  const bench::BackendSpec spec = bench::parse_backend_spec(cli.get("backend"));
+  auto backend = bench_util::backend_from(cli, spec);
+  const model::BouncingModel model(bench_util::params_for(spec));
 
   model::ValidationOptions opts;
   opts.primitives = {Primitive::kLoad, Primitive::kStore, Primitive::kSwap,
@@ -65,4 +67,4 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace am
 
-int main(int argc, char** argv) { return am::run(argc, argv); }
+int main(int argc, char** argv) { return am::run_main(am::run, argc, argv); }

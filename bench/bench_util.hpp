@@ -7,9 +7,10 @@
 #include <csignal>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_core/backend.hpp"
@@ -31,30 +32,49 @@ inline std::chrono::steady_clock::time_point& start_time() {
   return t0;
 }
 
-/// Registers the flags every experiment binary shares.
-inline void add_common_flags(CliParser& cli) {
-  cli.add_flag("backend",
-               "execution backend: sim:xeon | sim:knl | sim:test (append "
-               ":tso for the weak-memory model, e.g. sim:xeon:tso) | hw | "
-               "auto",
-               "sim:xeon");
+/// Flag groups beyond --csv and --json-out (read by emit()). Each binary
+/// registers exactly the groups it honours: any other flag is an error.
+enum FlagGroup : unsigned {
+  kBackend = 1u << 0,  ///< --backend: the one machine selector
+  kThreads = 1u << 1,  ///< --threads: thread_sweep()
+  kTrace = 1u << 2,    ///< --trace-out, --epoch-cycles: simulator backends
+  kSweep = 1u << 3,    ///< the seven flags sweep_from() reads
+};
+
+/// Registers --csv, --json-out and the flags of @p groups (FlagGroup bits).
+inline void add_common_flags(CliParser& cli, unsigned groups) {
+  start_time();
+  if ((groups & kBackend) != 0) {
+    cli.add_flag("backend",
+                 "machine: sim[:<preset>[:sc|:tso]] with preset xeon | knl | "
+                 "test (bare sim = sim:xeon; :tso selects the weak-memory "
+                 "model), hw, or auto (hw on >= 8 cores, else sim:xeon); "
+                 "simulator-only experiments reject hw",
+                 "sim:xeon");
+  }
   cli.add_flag("csv", "write the table as CSV to this path (empty = skip)",
                "");
-  cli.add_flag("threads", "comma-separated thread counts (empty = default sweep)",
-               "", CliParser::FlagKind::kIntList);
+  if ((groups & kThreads) != 0) {
+    cli.add_flag("threads",
+                 "comma-separated thread counts (empty = default sweep)", "",
+                 CliParser::FlagKind::kIntList);
+  }
   cli.add_flag("json-out",
                "write a JSON run report (schema am-run-report/1) with "
                "per-thread stats, hot lines and epoch time-series to this path",
                "");
-  cli.add_flag("trace-out",
-               "stream a Chrome trace-event JSON file (load in Perfetto / "
-               "chrome://tracing) covering every simulated run; sim backends "
-               "only",
-               "");
-  cli.add_flag("epoch-cycles",
-               "epoch sampler window in cycles; 0 = off (--json-out defaults "
-               "it to measure/32)",
-               "0", CliParser::FlagKind::kInt);
+  if ((groups & kTrace) != 0) {
+    cli.add_flag("trace-out",
+                 "stream a Chrome trace-event JSON file (load in Perfetto / "
+                 "chrome://tracing) covering every simulated run; sim "
+                 "backends only",
+                 "");
+    cli.add_flag("epoch-cycles",
+                 "epoch sampler window in cycles; 0 = off (--json-out "
+                 "defaults it to measure/32)",
+                 "0", CliParser::FlagKind::kInt);
+  }
+  if ((groups & kSweep) == 0) return;
   cli.add_flag("jobs",
                "parallel sweep workers; 0 = host core count, 1 = serial. "
                "Results are byte-identical for every value; hardware "
@@ -85,88 +105,23 @@ inline void add_common_flags(CliParser& cli) {
                "bypassing cache and journal (-1 = off); printed in the "
                "replay command of every failed point",
                "-1", CliParser::FlagKind::kInt);
-  start_time();
-}
-
-/// Flag combinations that cannot be honored together (currently: an
-/// explicit --jobs > 1 with --trace-out — see bench::jobs_trace_conflict).
-/// Returns an error message, or "" when the flags are coherent.
-inline std::string common_flag_conflict(const CliParser& cli) {
-  if (!cli.has("jobs")) return "";  // default 0 = auto, serialized by trace
-  return bench::jobs_trace_conflict(cli.get_int("jobs"),
-                                    !cli.get("trace-out").empty());
 }
 
 /// parse() plus cross-flag validation; every bench main funnels through
-/// this so conflicting flags fail before any simulation starts.
+/// this so conflicting flags (an explicit --jobs > 1 with --trace-out, see
+/// bench::jobs_trace_conflict) fail before any simulation starts.
 inline bool parse_common(CliParser& cli, int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return false;
-  if (const std::string err = common_flag_conflict(cli); !err.empty()) {
-    std::cerr << err << "\n";
-    return false;
-  }
-  return true;
+  if (!cli.has("jobs")) return true;  // default 0 = auto, serialized by trace
+  const std::string err = bench::jobs_trace_conflict(
+      cli.get_int("jobs"), !cli.get("trace-out").empty());
+  if (!err.empty()) std::cerr << err << "\n";
+  return err.empty();
 }
 
-/// Applies --trace-out / --epoch-cycles / --json-out instrumentation to a
-/// backend. Observability is a simulator feature: on the hardware backend
-/// only the report itself applies, and a requested trace warns.
-inline void apply_obs(const CliParser& cli, bench::ExecutionBackend& backend) {
-  const bool want_report = !cli.get("json-out").empty();
-  const std::string trace_path = cli.get("trace-out");
-  auto* sim = dynamic_cast<bench::SimBackend*>(&backend);
-  if (sim == nullptr) {
-    if (!trace_path.empty()) {
-      std::cerr << "--trace-out: the hardware backend has no coherence "
-                   "trace; ignored\n";
-    }
-    return;
-  }
-  auto window = static_cast<sim::Cycles>(cli.get_int("epoch-cycles"));
-  if (window == 0 && want_report) {
-    window = sim->options().measure_cycles / 32;
-  }
-  sim->set_epoch_cycles(window);
-  sim->set_line_profiling(want_report);
-  if (!trace_path.empty() && !sim->set_trace_file(trace_path)) {
-    std::cerr << "failed to open trace file " << trace_path << "\n";
-  }
-}
-
-/// Builds the backend named by --backend, instrumented per the obs flags.
-inline std::unique_ptr<bench::ExecutionBackend> backend_from(
-    const CliParser& cli) {
-  auto backend = bench::make_backend(cli.get("backend"));
-  apply_obs(cli, *backend);
-  return backend;
-}
-
-/// Uninstrumented backend for interrogating the grid shape (machine name,
-/// max_threads) before submitting points to a sweep. Never opens trace
-/// files, so it can coexist with sweep_from() on the same flags.
-inline std::unique_ptr<bench::ExecutionBackend> probe_backend(
-    const CliParser& cli) {
-  return bench::make_backend(cli.get("backend"));
-}
-
-/// --max-point-cycles resolved against a backend's measurement windows.
-/// 0 picks a budget generous enough that only a genuine runaway trips it;
-/// the progress watchdog (livelock detector) rides along whenever the
-/// cycle budget is armed.
-inline sim::WatchdogConfig watchdog_from(const CliParser& cli,
-                                         const bench::SimBackendOptions& o) {
-  sim::WatchdogConfig wd;
-  const std::int64_t v = cli.get_int("max-point-cycles");
-  if (v < 0) return wd;  // watchdog off
-  wd.max_cycles = v > 0 ? static_cast<sim::Cycles>(v)
-                        : 64 * (o.warmup_cycles + o.measure_cycles);
-  wd.progress_events = 1'000'000;
-  return wd;
-}
-
-/// Applies --epoch-cycles / --json-out / --max-point-cycles instrumentation
-/// (and optionally a shared trace sink) to a sim backend built inside a
-/// sweep point or task.
+/// Applies --epoch-cycles / --json-out instrumentation (plus the
+/// --max-point-cycles watchdog where the binary sweeps, and optionally a
+/// shared trace sink) to a sim backend.
 inline void apply_task_obs(const CliParser& cli, obs::TraceSink* sink,
                            bench::SimBackend& sim) {
   const bool want_report = !cli.get("json-out").empty();
@@ -176,8 +131,47 @@ inline void apply_task_obs(const CliParser& cli, obs::TraceSink* sink,
   }
   sim.set_epoch_cycles(window);
   sim.set_line_profiling(want_report);
-  sim.set_watchdog(watchdog_from(cli, sim.options()));
+  if (cli.registered("max-point-cycles")) {
+    sim.set_watchdog(bench::watchdog_for_budget(
+        cli.get_int("max-point-cycles"), sim.options()));
+  }
   if (sink != nullptr) sim.set_sink(sink);
+}
+
+/// Applies --trace-out / --epoch-cycles / --json-out instrumentation to a
+/// backend. Observability is a simulator feature: on the hardware backend
+/// only the report itself applies, and a requested trace warns.
+inline void apply_obs(const CliParser& cli, bench::ExecutionBackend& backend) {
+  const std::string trace_path = cli.get("trace-out");
+  auto* sim = dynamic_cast<bench::SimBackend*>(&backend);
+  if (sim == nullptr) {
+    if (!trace_path.empty()) {
+      std::cerr << "--trace-out: the hardware backend has no coherence "
+                   "trace; ignored\n";
+    }
+    return;
+  }
+  apply_task_obs(cli, nullptr, *sim);
+  if (!trace_path.empty() && !sim->set_trace_file(trace_path)) {
+    std::cerr << "failed to open trace file " << trace_path << "\n";
+  }
+}
+
+/// Builds the backend @p spec names, instrumented per the obs flags.
+inline std::unique_ptr<bench::ExecutionBackend> backend_from(
+    const CliParser& cli, const bench::BackendSpec& spec) {
+  auto backend = bench::make_backend(spec);
+  apply_obs(cli, *backend);
+  return backend;
+}
+
+/// The simulated machine --backend names, for the experiments that drive
+/// the simulator directly: there hw (or auto resolving to it) is an error.
+inline sim::MachineConfig sim_machine(const CliParser& cli) {
+  bench::BackendSpec spec = bench::parse_backend_spec(cli.get("backend"));
+  if (!spec.hw) return std::move(spec.machine);
+  throw std::invalid_argument("--backend=" + cli.get("backend") + ": " +
+                              cli.program_name() + " is simulator-only");
 }
 
 /// A bench binary's sweep: the engine plus the trace sink shared by every
@@ -188,18 +182,16 @@ struct Sweep {
   std::unique_ptr<bench::SweepEngine> engine;
 };
 
-/// Builds the sweep engine for --backend/--jobs/--sweep-cache/--base-seed.
-/// Every converted bench submits its grid through this; --jobs=1 runs the
-/// identical seeds/points serially, so reports match at any width.
-inline Sweep sweep_from(const CliParser& cli) {
+/// Builds the sweep engine from the kSweep flags; workload points run on
+/// the machine @p spec names (a task-only sweep, like T1's, passes none).
+/// --jobs=1 runs the identical seeds/points serially, so reports match at
+/// any width.
+inline Sweep sweep_from(const CliParser& cli,
+                        const std::optional<bench::BackendSpec>& spec) {
   Sweep s;
-  const std::string spec = cli.get("backend");
-  const bool is_hw =
-      spec == "hw" ||
-      (spec == "auto" && std::thread::hardware_concurrency() >= 8);
   bool serial = false;
   obs::TraceSink* sink = nullptr;
-  if (is_hw) {
+  if (spec && spec->hw) {
     // Hardware measurements own the host's cores; concurrent points would
     // measure each other.
     serial = true;
@@ -227,26 +219,25 @@ inline Sweep sweep_from(const CliParser& cli) {
   // surface as cancelled rows, the journal and partial report still land,
   // and finish() exits 130.
   std::signal(SIGINT, [](int) { bench::SweepEngine::request_cancel(); });
-  s.engine = std::make_unique<bench::SweepEngine>(
-      [cli_copy = cli, sink](std::uint64_t seed) {
-        auto backend = bench::make_backend(cli_copy.get("backend"), seed);
-        if (auto* sim = dynamic_cast<bench::SimBackend*>(backend.get())) {
-          apply_task_obs(cli_copy, sink, *sim);
-        }
-        return backend;
-      },
-      opts);
+  bench::SweepEngine::BackendFactory factory;
+  if (spec) {
+    factory = [cli_copy = cli, sink, target = *spec](std::uint64_t seed) {
+      auto backend = bench::make_backend(target, seed);
+      if (auto* sim = dynamic_cast<bench::SimBackend*>(backend.get())) {
+        apply_task_obs(cli_copy, sink, *sim);
+      }
+      return backend;
+    };
+  }
+  s.engine = std::make_unique<bench::SweepEngine>(std::move(factory), opts);
   return s;
 }
 
-/// Analytic model parameters for a sim backend spec; for "hw" this returns
+/// Analytic model parameters for the machine @p spec names; for hw this is
 /// the Xeon skeleton (structure only) — pair it with calibration.
-inline model::ModelParams params_for(const std::string& backend_spec) {
-  if (backend_spec.rfind("sim:", 0) == 0) {
-    return model::ModelParams::from_machine(
-        sim::preset_by_name(backend_spec.substr(4)));
-  }
-  return model::ModelParams::from_machine(sim::xeon_e5_2x18());
+inline model::ModelParams params_for(const bench::BackendSpec& spec) {
+  return model::ModelParams::from_machine(spec.hw ? sim::xeon_e5_2x18()
+                                                  : spec.machine);
 }
 
 /// Default thread sweep for a backend: powers-of-two-ish points up to the
@@ -406,7 +397,8 @@ inline void emit(const CliParser& cli, const std::string& title,
     bench::ReportMeta meta;
     meta.bench = cli.program_name();
     meta.title = title;
-    meta.backend = cli.get("backend");
+    // T1 takes no --backend: its table is fixed to both presets.
+    meta.backend = cli.registered("backend") ? cli.get("backend") : "";
     meta.machine = runs.empty() ? "" : runs.back().run.machine;
     meta.command = cli.command_line();
     meta.wall_time_s = std::chrono::duration<double>(

@@ -18,21 +18,19 @@
 #include "model/validate.hpp"
 #include "sim/config.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, const char* const* argv) {
   using namespace am;
   CliParser cli("model calibration walkthrough");
-  cli.add_flag("backend", "sim:xeon | sim:knl | sim:test | hw", "sim:xeon");
+  cli.add_flag("backend", "sim[:<preset>[:sc|:tso]] | hw | auto", "sim:xeon");
   cli.add_flag("save", "write calibrated parameters to this file", "");
   if (!cli.parse(argc, argv)) return 1;
 
-  const std::string spec = cli.get("backend");
+  const bench::BackendSpec spec = bench::parse_backend_spec(cli.get("backend"));
   auto backend = bench::make_backend(spec);
 
   // The skeleton provides structure only (which core pairs are near/far);
   // for hardware runs the Xeon two-socket skeleton is the default shape.
-  sim::MachineConfig shape =
-      spec.rfind("sim:", 0) == 0 ? sim::preset_by_name(spec.substr(4))
-                                 : sim::xeon_e5_2x18();
+  sim::MachineConfig shape = spec.hw ? sim::xeon_e5_2x18() : spec.machine;
   shape.arbitration = sim::Arbitration::kFifo;  // identifiable mixture
   const model::ModelParams skeleton = model::ModelParams::from_machine(shape);
 
@@ -80,3 +78,5 @@ int main(int argc, char** argv) {
               "threads, work)\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return am::run_main(run, argc, argv); }

@@ -17,7 +17,7 @@
 #include "model/bouncing_model.hpp"
 #include "sim/config.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, const char* const* argv) {
   using namespace am;
   CliParser cli("counter design study");
   cli.add_flag("machine", "sim preset: xeon | knl", "xeon");
@@ -70,3 +70,5 @@ int main(int argc, char** argv) {
       model::recommended_backoff_cycles(model, 32));
   return 0;
 }
+
+int main(int argc, char** argv) { return am::run_main(run, argc, argv); }

@@ -18,7 +18,7 @@
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, const char* const* argv) {
   using namespace am;
   CliParser cli("spinlock selection study");
   cli.add_flag("machine", "sim preset: xeon | knl", "xeon");
@@ -75,7 +75,9 @@ int main(int argc, char** argv) {
       "  * the hardware-thread implementations of all four locks live in\n"
       "    src/locks/spinlocks.hpp and pass the mutual-exclusion tests in\n"
       "    tests/locks/spinlocks_test.cpp on any host;\n"
-      "  * on a machine with enough cores, rerun this study with the\n"
-      "    hardware backend via bench_f7_casestudy --backend=hw.\n");
+      "  * bench_f7_casestudy repeats this study across a thread sweep\n"
+      "    (--backend=sim:xeon | sim:knl).\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return am::run_main(run, argc, argv); }

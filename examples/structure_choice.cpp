@@ -21,7 +21,7 @@
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, const char* const* argv) {
   using namespace am;
   CliParser cli("lock-free structure choice study");
   cli.add_flag("machine", "sim preset: xeon | knl", "xeon");
@@ -76,3 +76,5 @@ int main(int argc, char** argv) {
       "    ordering and balance guarantees.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return am::run_main(run, argc, argv); }

@@ -1,6 +1,7 @@
 #include "bench_core/backend.hpp"
 
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "bench_core/hw_backend.hpp"
@@ -67,36 +68,47 @@ std::string WorkloadConfig::describe() const {
   return s;
 }
 
+BackendSpec parse_backend_spec(const std::string& spec) {
+  BackendSpec out;
+  if (spec == "hw" ||
+      (spec == "auto" && std::thread::hardware_concurrency() >= 8)) {
+    out.hw = true;
+    return out;
+  }
+  // "sim[:<preset>[:<memory model>]]"; "auto" on a small host is bare "sim".
+  const std::string text = spec == "auto" ? "sim" : spec;
+  const std::size_t colon = text.find(':', 4);
+  const std::string model =
+      colon == std::string::npos ? "sc" : text.substr(colon + 1);
+  try {
+    if (text != "sim" && text.rfind("sim:", 0) != 0) {
+      throw std::invalid_argument("want sim[:<preset>[:sc|:tso]], hw or auto");
+    }
+    out.preset = text == "sim" ? "xeon" : text.substr(4, colon - 4);
+    out.machine = sim::preset_by_name(out.preset);
+    // The model rides in MachineConfig::fingerprint(), so sweep/service
+    // cache identities split TSO rows from SC rows automatically.
+    const auto memory_model = sim::parse_memory_model(model);
+    if (!memory_model) {
+      throw std::invalid_argument("unknown memory model '" + model +
+                                  "' (want sc | tso)");
+    }
+    out.machine.memory_model = *memory_model;
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("backend spec '" + spec + "': " + e.what());
+  }
+  return out;
+}
+
+std::unique_ptr<ExecutionBackend> make_backend(const BackendSpec& spec,
+                                               std::uint64_t seed) {
+  if (spec.hw) return std::make_unique<HardwareBackend>();
+  return std::make_unique<SimBackend>(spec.machine, SimBackendOptions{}, seed);
+}
+
 std::unique_ptr<ExecutionBackend> make_backend(const std::string& spec,
                                                std::uint64_t seed) {
-  if (spec == "hw") return std::make_unique<HardwareBackend>();
-  if (spec.rfind("sim:", 0) == 0) {
-    // "sim:<preset>" optionally takes a ":tso" suffix selecting the weak
-    // memory model; the model rides in MachineConfig::fingerprint(), so
-    // sweep/service cache identities split from SC rows automatically.
-    std::string preset = spec.substr(4);
-    sim::MemoryModel model = sim::MemoryModel::kSc;
-    const std::size_t colon = preset.find(':');
-    if (colon != std::string::npos) {
-      const auto parsed = sim::parse_memory_model(preset.substr(colon + 1));
-      if (parsed) {
-        model = *parsed;
-        preset.resize(colon);
-      }
-    }
-    sim::MachineConfig cfg = sim::preset_by_name(preset);
-    cfg.memory_model = model;
-    return std::make_unique<SimBackend>(cfg, SimBackendOptions{}, seed);
-  }
-  if (spec == "sim") {
-    return std::make_unique<SimBackend>(sim::xeon_e5_2x18(),
-                                        SimBackendOptions{}, seed);
-  }
-  // "auto": contention experiments need real parallelism to mean anything.
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores >= 8) return std::make_unique<HardwareBackend>();
-  return std::make_unique<SimBackend>(sim::xeon_e5_2x18(), SimBackendOptions{},
-                                      seed);
+  return make_backend(parse_backend_spec(spec), seed);
 }
 
 }  // namespace am::bench

@@ -3,9 +3,9 @@
 //
 // Every bench binary is written against this interface and can therefore run
 // on real hardware threads (HardwareBackend) or on the coherence simulator
-// (SimBackend) unchanged. choose_backend() implements the repo's policy:
-// simulator presets stand in for the paper's 36/64-core testbeds whenever
-// the host lacks the cores to produce meaningful contention.
+// (SimBackend) unchanged. The "auto" backend spec implements the repo's
+// policy: simulator presets stand in for the paper's 36/64-core testbeds
+// whenever the host lacks the cores to produce meaningful contention.
 #pragma once
 
 #include <memory>
@@ -14,6 +14,7 @@
 
 #include "bench_core/result.hpp"
 #include "bench_core/workload.hpp"
+#include "sim/config.hpp"
 
 namespace am::bench {
 
@@ -79,13 +80,28 @@ void clear_run_log();
 /// engine flushes pooled results through this in submission order.
 void append_run_log(RecordedRun rec);
 
-/// Builds a backend from a CLI-ish spec:
-///   "sim:xeon" | "sim:knl" | "sim:test" -> SimBackend on that preset
-///   "hw"                                -> HardwareBackend on this host
-///   "auto"                              -> hw when the host has >= 8 cores,
-///                                          otherwise sim:xeon
-/// @p seed seeds simulator backends (ignored by hw); the sweep engine derives
-/// one per grid point so every point is independently replayable.
+/// A parsed backend spec: the host's hardware, or one simulated machine.
+struct BackendSpec {
+  bool hw = false;
+  std::string preset;          ///< as named ("xeon" for bare "sim"); "" = hw
+  sim::MachineConfig machine;  ///< memory model included; unused when hw
+};
+
+/// The one parser of backend specs (--backend, GuestRunConfig::backend):
+///   "sim[:<preset>[:sc|:tso]]" -> a sim::preset_by_name() preset (default
+///                                 xeon) under a memory model (default sc)
+///   "hw"                       -> HardwareBackend on this host
+///   "auto"                     -> hw when the host has >= 8 cores,
+///                                 otherwise sim:xeon
+/// Throws std::invalid_argument for anything else, so no caller runs a
+/// machine the spec does not name.
+BackendSpec parse_backend_spec(const std::string& spec);
+
+/// Builds the backend @p spec names. @p seed seeds simulator backends
+/// (ignored by hw); the sweep engine derives one per grid point so every
+/// point is independently replayable. The string form parses first.
+std::unique_ptr<ExecutionBackend> make_backend(const BackendSpec& spec,
+                                               std::uint64_t seed = 1);
 std::unique_ptr<ExecutionBackend> make_backend(const std::string& spec,
                                                std::uint64_t seed = 1);
 

@@ -77,6 +77,7 @@ MeasuredRun HardwareBackend::do_run(const WorkloadConfig& config) {
 
   SpinBarrier barrier(n + 1);
   std::atomic<int> phase{kWarmup};
+  std::atomic<std::uint32_t> measuring{0};  // workers that saw kMeasure
   std::vector<WorkerSlot> slots(n);
   const auto pin_seq = topology_.pin_sequence(config.pin_order);
   const std::uint64_t sample_mask =
@@ -118,6 +119,7 @@ MeasuredRun HardwareBackend::do_run(const WorkloadConfig& config) {
           perf->reset();
           perf->enable();
         }
+        measuring.fetch_add(1, std::memory_order_release);
       }
 
       // Pick the target cell for this op.
@@ -201,9 +203,14 @@ MeasuredRun HardwareBackend::do_run(const WorkloadConfig& config) {
   Rapl rapl;
   barrier.arrive_and_wait();
   std::this_thread::sleep_for(std::chrono::duration<double>(options_.warmup_s));
+  phase.store(kMeasure, std::memory_order_release);
+  // Open the window once every worker has reset its counters; a worker
+  // scheduled late would otherwise count a few ops against all of it.
+  while (measuring.load(std::memory_order_acquire) < n) {
+    std::this_thread::yield();
+  }
   const EnergyReading e0 = rapl.read();
   const std::uint64_t c0 = rdtscp();
-  phase.store(kMeasure, std::memory_order_release);
   std::this_thread::sleep_for(std::chrono::duration<double>(options_.measure_s));
   phase.store(kStop, std::memory_order_release);
   const std::uint64_t c1 = rdtscp();

@@ -31,6 +31,19 @@ inline std::string sim_backend_cache_identity(const sim::MachineConfig& config,
          ";measure=" + std::to_string(options.measure_cycles);
 }
 
+/// The watchdog of a --max-point-cycles budget: 0 = auto (64x the
+/// warmup+measure window, so only a genuine runaway trips it), negative =
+/// off. The livelock detector rides along whenever the budget is armed.
+inline sim::WatchdogConfig watchdog_for_budget(std::int64_t budget,
+                                               const SimBackendOptions& o) {
+  sim::WatchdogConfig wd;
+  if (budget < 0) return wd;
+  wd.max_cycles = budget > 0 ? static_cast<sim::Cycles>(budget)
+                             : 64 * (o.warmup_cycles + o.measure_cycles);
+  wd.progress_events = 1'000'000;
+  return wd;
+}
+
 class SimBackend final : public ExecutionBackend {
  public:
   explicit SimBackend(sim::MachineConfig config, SimBackendOptions options = {},

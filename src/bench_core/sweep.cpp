@@ -195,11 +195,6 @@ const JsonValue& require_array(const JsonValue& obj, std::string_view key) {
 
 }  // namespace
 
-std::uint64_t sweep_point_seed(std::uint64_t base_seed,
-                               std::uint64_t index) noexcept {
-  return point_seed(base_seed, index);
-}
-
 std::string sweep_cache_key(const std::string& backend_identity,
                             const WorkloadConfig& config, std::uint64_t seed) {
   if (backend_identity.empty()) return "";

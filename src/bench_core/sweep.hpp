@@ -41,7 +41,9 @@ inline constexpr const char* kSweepCacheVersion = "am-sweep-cache/1";
 std::uint64_t splitmix64(std::uint64_t x) noexcept;
 
 /// Seed of sweep point @p index under @p base_seed. Never returns 0 (some
-/// PRNGs degenerate on an all-zero state).
+/// PRNGs degenerate on an all-zero state). Out-of-process consumers of the
+/// disk cache (the fleet's stale-serve path) address entries a SweepEngine
+/// wrote with it.
 std::uint64_t point_seed(std::uint64_t base_seed, std::uint64_t index) noexcept;
 
 /// Validates the --jobs / --trace-out combination. A Chrome trace is one
@@ -191,13 +193,6 @@ class SweepEngine {
 };
 
 // --- cache plumbing (exposed for tests) -------------------------------------
-
-/// The per-point seed a sweep derives for point @p index under
-/// @p base_seed (splitmix64-chained). Exposed so out-of-process consumers
-/// of the disk cache (the fleet's stale-serve path) can address entries a
-/// SweepEngine wrote without running one.
-std::uint64_t sweep_point_seed(std::uint64_t base_seed,
-                               std::uint64_t index) noexcept;
 
 /// Stable cache key for one point: sha256_hex(material, 16), 32 hex digits,
 /// where the material is cache version, backend identity, workload and seed.

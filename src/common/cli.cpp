@@ -212,4 +212,14 @@ std::string CliParser::usage() const {
   return os.str();
 }
 
+int run_main(int (*body)(int, const char* const*), int argc,
+             const char* const* argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
+}
+
 }  // namespace am

@@ -45,6 +45,10 @@ class CliParser {
   bool parse(int argc, const char* const* argv);
 
   bool has(const std::string& name) const;
+  /// True when @p name was registered, whether or not it was given.
+  bool registered(const std::string& name) const {
+    return flags_.contains(name);
+  }
   std::string get(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   /// Full-range unsigned parse (seeds are 64-bit; get_int would clip them).
@@ -75,5 +79,10 @@ class CliParser {
   std::string program_name_;
   std::string command_line_;
 };
+
+/// Runs a binary's body, turning an escaping exception (a flag value naming
+/// no machine, say) into a one-line "error: ..." on stderr and exit status 1.
+int run_main(int (*body)(int, const char* const*), int argc,
+             const char* const* argv);
 
 }  // namespace am

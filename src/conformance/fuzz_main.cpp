@@ -16,6 +16,7 @@
 // --gen-version/--sched-version mismatch, which means the replay line came
 // from an incompatible harness build and re-running it here would silently
 // explore a different program or schedule.
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -257,11 +258,12 @@ int main(int argc, char** argv) {
   if (preset == "both") {
     presets.push_back({"xeon", sim::xeon_e5_2x18()});
     presets.push_back({"knl", sim::knl_64()});
-  } else if (preset == "xeon" || preset == "knl" || preset == "test") {
+  } else if (std::ranges::find(sim::kPresetNames, preset) !=
+             sim::kPresetNames.end()) {
     presets.push_back({preset, sim::preset_by_name(preset)});
   } else {
-    std::cerr << "unknown --preset=" << preset
-              << " (want xeon | knl | test | both)\n";
+    std::cerr << "unknown --preset=" << preset << " (want "
+              << sim::preset_names(" | ") << " | both)\n";
     return 2;
   }
   for (auto& p : presets) {

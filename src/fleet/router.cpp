@@ -24,13 +24,16 @@ std::string stale_key(const std::string& cache_key, const std::string& id) {
   return cache_key + '\x1f' + id;
 }
 
+constexpr std::size_t kStaleShards = 8;  // of the stale-response LRU
+constexpr std::size_t kRingVnodes = 64;  // per worker on the hash ring
+
 }  // namespace
 
 Router::Router(Supervisor& supervisor, RouterConfig config)
     : supervisor_(supervisor),
       config_(std::move(config)),
-      ring_(supervisor.worker_count(), config_.ring_vnodes),
-      stale_(config_.stale_capacity, config_.stale_shards) {
+      ring_(supervisor.worker_count(), kRingVnodes),
+      stale_(config_.stale_capacity, kStaleShards) {
   pools_.reserve(supervisor.worker_count());
   for (std::size_t i = 0; i < supervisor.worker_count(); ++i) {
     pools_.push_back(std::make_unique<WorkerPool>());
@@ -117,7 +120,7 @@ std::string Router::stale_response(const service::Request& r,
   const std::string identity =
       bench::sim_backend_cache_identity(mc, bench::SimBackendOptions{});
   const std::string key = bench::sweep_cache_key(
-      identity, service::simulate_workload(q), bench::sweep_point_seed(q.seed, 0));
+      identity, service::simulate_workload(q), bench::point_seed(q.seed, 0));
   std::string bytes;
   if (bench::sweep::read_file_with_retry(dir + "/" + key + ".json", bytes) !=
       bench::sweep::IoResult::kOk) {
@@ -145,6 +148,8 @@ service::HandleResult Router::promote(const service::Request& r) {
     service::ServiceConfig cfg;
     cfg.cache_capacity = 0;  // the router's stale LRU is the memory tier
     cfg.sim_cache_dir = dir;
+    // The workers' budget, or a point they time out lands on disk as a hit.
+    cfg.max_point_cycles = supervisor_.config().max_point_cycles;
     cfg.metrics = false;  // fleet-level counters belong to the router
     promote_core_ = std::make_unique<service::ServiceCore>(cfg);
   }

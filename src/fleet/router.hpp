@@ -54,9 +54,6 @@ struct RouterConfig {
   /// Router-level stale-response LRU (full response lines keyed by
   /// request cache key + id). 0 disables memory-stale serving.
   std::size_t stale_capacity = 4096;
-  std::size_t stale_shards = 8;
-  /// Virtual nodes per worker on the consistent-hash ring.
-  std::size_t ring_vnodes = 64;
   /// Fault injection; not owned, may be null (usually the supervisor's).
   ChaosConfig* chaos = nullptr;
 };

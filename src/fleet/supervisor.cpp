@@ -77,7 +77,8 @@ bool Supervisor::spawn_worker(std::size_t i, std::string* error) {
   if (!config_.sweep_cache_dir.empty()) {
     spec.args.push_back("--sweep-cache=" + config_.sweep_cache_dir);
   }
-  for (const std::string& a : config_.worker_args) spec.args.push_back(a);
+  spec.args.push_back("--max-point-cycles=" +
+                      std::to_string(config_.max_point_cycles));
 
   if (!w.proc.spawn(spec, error)) return false;
   {

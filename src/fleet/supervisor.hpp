@@ -44,8 +44,9 @@ struct FleetConfig {
   /// worker and consulted by the router's stale-serve path. Empty disables.
   std::string sweep_cache_dir;
   unsigned worker_threads = 2;
-  /// Extra argv entries appended to every worker's command line.
-  std::vector<std::string> worker_args;
+  /// am_serve --max-point-cycles (0 = auto, negative = off): the simulate
+  /// budget of every worker and of the router's promotion core.
+  std::int64_t max_point_cycles = 0;
 
   int health_interval_ms = 250;
   int probe_timeout_ms = 1000;

@@ -1,5 +1,6 @@
 #include "guest/runner.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "bench_core/sim_backend.hpp"
@@ -8,46 +9,14 @@
 
 namespace am::guest {
 
-bool parse_guest_backend(const std::string& spec, sim::MachineConfig* config,
-                         std::string* preset_name, std::string* error) {
-  // Split "sim:NAME[:MODEL]" on ':'.
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (true) {
-    std::size_t colon = spec.find(':', start);
-    if (colon == std::string::npos) {
-      parts.push_back(spec.substr(start));
-      break;
-    }
-    parts.push_back(spec.substr(start, colon - start));
-    start = colon + 1;
+bench::BackendSpec parse_guest_backend(const std::string& spec) {
+  // "hw" and "auto" name no simulated machine a guest could run on.
+  if (spec.rfind("sim", 0) != 0) {
+    throw std::invalid_argument(
+        "guest workloads need a simulator backend (got '" + spec +
+        "'); use sim:xeon, sim:knl or sim:test");
   }
-  if (parts.empty() || parts[0] != "sim") {
-    if (error != nullptr) {
-      *error = "guest workloads need a simulator backend (got '" + spec +
-               "'); use sim:xeon, sim:knl or sim:test";
-    }
-    return false;
-  }
-  std::string preset = parts.size() > 1 && !parts[1].empty() ? parts[1] : "xeon";
-  if (preset != "xeon" && preset != "knl" && preset != "test") {
-    if (error != nullptr) *error = "unknown machine preset '" + preset + "'";
-    return false;
-  }
-  sim::MachineConfig mc = sim::preset_by_name(preset);
-  if (parts.size() > 2) {
-    auto model = sim::parse_memory_model(parts[2]);
-    if (!model) {
-      if (error != nullptr) {
-        *error = "unknown memory model '" + parts[2] + "' (want sc or tso)";
-      }
-      return false;
-    }
-    mc.memory_model = *model;
-  }
-  if (config != nullptr) *config = mc;
-  if (preset_name != nullptr) *preset_name = preset;
-  return true;
+  return bench::parse_backend_spec(spec);
 }
 
 GuestRunResult run_guest(const std::uint8_t* elf, std::size_t len,
@@ -57,10 +26,12 @@ GuestRunResult run_guest(const std::uint8_t* elf, std::size_t len,
   out.seed = config.seed;
 
   sim::MachineConfig mc;
-  std::string backend_error;
-  if (!parse_guest_backend(config.backend, &mc, &out.machine,
-                           &backend_error)) {
-    out.error = GuestError::make(errc::kBadBackend, backend_error);
+  try {
+    bench::BackendSpec spec = parse_guest_backend(config.backend);
+    mc = std::move(spec.machine);
+    out.machine = spec.preset;
+  } catch (const std::invalid_argument& e) {
+    out.error = GuestError::make(errc::kBadBackend, e.what());
     return out;
   }
   out.memory_model = mc.memory_model;

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_core/backend.hpp"
 #include "bench_core/result.hpp"
 #include "guest/errors.hpp"
 #include "guest/program.hpp"
@@ -92,10 +93,9 @@ struct GuestRunResult {
   }
 };
 
-/// Parses a guest backend spec into a machine config. False (with @p error
-/// set) for non-sim specs or unknown presets/models.
-bool parse_guest_backend(const std::string& spec, sim::MachineConfig* config,
-                         std::string* preset_name, std::string* error);
+/// bench::parse_backend_spec for guests: throws std::invalid_argument for
+/// non-sim specs as well as unknown presets/models.
+bench::BackendSpec parse_guest_backend(const std::string& spec);
 
 /// Loads @p elf and runs it to completion (or to a budget/error). Never
 /// throws; every failure mode lands in GuestRunResult::error.

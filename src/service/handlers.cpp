@@ -19,12 +19,6 @@ namespace am::service {
 
 namespace {
 
-/// Sim preset + analytic model params for a validated machine name.
-/// Machine names were validated at parse time, so lookups cannot fail.
-sim::MachineConfig machine_for(const std::string& name) {
-  return sim::preset_by_name(name);
-}
-
 bench::WorkloadMode workload_mode(const std::string& mode) {
   if (mode == "private") return bench::WorkloadMode::kLowContention;
   if (mode == "mixed") return bench::WorkloadMode::kMixedReadWrite;
@@ -129,9 +123,10 @@ class SampleReplayBackend final : public bench::ExecutionBackend {
 ServiceCore::ServiceCore(ServiceConfig config)
     : config_(std::move(config)),
       cache_(config_.cache_capacity, config_.cache_shards) {
-  for (const char* name : {"xeon", "knl", "test"}) {
-    models_.try_emplace(name,
-                        model::ModelParams::from_machine(machine_for(name)));
+  for (const std::string_view preset : sim::kPresetNames) {
+    const std::string name(preset);
+    models_.try_emplace(
+        name, model::ModelParams::from_machine(sim::preset_by_name(name)));
   }
 }
 
@@ -275,7 +270,7 @@ std::string ServiceCore::run_advise(const AdviseQuery& q, std::string* error) {
 
 std::string ServiceCore::run_calibrate(const CalibrateQuery& q,
                                        std::string* error) {
-  const sim::MachineConfig mc = machine_for(q.machine);
+  const sim::MachineConfig mc = sim::preset_by_name(q.machine);
   const model::ModelParams skeleton = model::ModelParams::from_machine(mc);
   SampleReplayBackend backend(q, mc.cores, mc.freq_ghz);
 
@@ -350,7 +345,7 @@ bench::WorkloadConfig simulate_workload(const PointQuery& q) {
 
 std::string ServiceCore::run_simulate(const PointQuery& q, std::string* error,
                                       const RequestContext* ctx) {
-  const sim::MachineConfig mc = machine_for(q.machine);
+  const sim::MachineConfig mc = sim::preset_by_name(q.machine);
   if (q.threads > mc.cores) {
     *error = "threads=" + std::to_string(q.threads) + " exceeds " + q.machine +
              "'s " + std::to_string(mc.cores) + " cores";
@@ -373,13 +368,7 @@ std::string ServiceCore::run_simulate(const PointQuery& q, std::string* error,
   bench::SweepEngine engine(
       [&mc, budget, trace](std::uint64_t seed) {
         bench::SimBackendOptions options;
-        if (budget >= 0) {
-          options.watchdog.max_cycles =
-              budget > 0 ? static_cast<sim::Cycles>(budget)
-                         : 64 * (options.warmup_cycles +
-                                 options.measure_cycles);
-          options.watchdog.progress_events = 1'000'000;
-        }
+        options.watchdog = bench::watchdog_for_budget(budget, options);
         auto backend = std::make_unique<bench::SimBackend>(mc, options, seed);
         if (trace != nullptr) backend->set_sink(trace);
         return backend;

@@ -11,6 +11,7 @@
 #include "common/base64.hpp"
 #include "common/json.hpp"
 #include "common/sha256.hpp"
+#include "sim/config.hpp"
 
 namespace am::service {
 
@@ -106,8 +107,13 @@ struct Fields {
   }
 };
 
-bool valid_machine(const std::string& m) {
-  return m == "xeon" || m == "knl" || m == "test";
+/// Reads the (lowercased) machine member; it must name a sim preset.
+void parse_machine(Fields& f, std::string& machine) {
+  machine = lower(f.get_string("machine", machine));
+  if (std::ranges::find(sim::kPresetNames, machine) ==
+      sim::kPresetNames.end()) {
+    f.fail("machine must be " + sim::preset_names("|"));
+  }
 }
 
 std::optional<Primitive> parse_prim_loose(const std::string& name) {
@@ -115,8 +121,7 @@ std::optional<Primitive> parse_prim_loose(const std::string& name) {
 }
 
 void parse_point(Fields& f, PointQuery& q, bool is_simulate) {
-  q.machine = lower(f.get_string("machine", q.machine));
-  if (!valid_machine(q.machine)) f.fail("machine must be xeon|knl|test");
+  parse_machine(f, q.machine);
   q.mode = lower(f.get_string("mode", q.mode));
   if (q.mode != "shared" && q.mode != "private" && q.mode != "mixed" &&
       q.mode != "zipf") {
@@ -141,8 +146,7 @@ void parse_point(Fields& f, PointQuery& q, bool is_simulate) {
 }
 
 void parse_advise(Fields& f, AdviseQuery& q) {
-  q.machine = lower(f.get_string("machine", q.machine));
-  if (!valid_machine(q.machine)) f.fail("machine must be xeon|knl|test");
+  parse_machine(f, q.machine);
   q.target = lower(f.get_string("target", q.target));
   if (q.target != "counter" && q.target != "lock" && q.target != "backoff") {
     f.fail("target must be counter|lock|backoff");
@@ -156,8 +160,7 @@ void parse_advise(Fields& f, AdviseQuery& q) {
 }
 
 void parse_calibrate(Fields& f, CalibrateQuery& q) {
-  q.machine = lower(f.get_string("machine", q.machine));
-  if (!valid_machine(q.machine)) f.fail("machine must be xeon|knl|test");
+  parse_machine(f, q.machine);
   const JsonValue* samples = f.obj.find("samples");
   if (samples == nullptr || samples->type() != JsonValue::Type::kArray) {
     f.fail("samples must be an array");
@@ -194,8 +197,7 @@ void parse_calibrate(Fields& f, CalibrateQuery& q) {
 }
 
 void parse_guest(Fields& f, GuestQuery& q) {
-  q.machine = lower(f.get_string("machine", q.machine));
-  if (!valid_machine(q.machine)) f.fail("machine must be xeon|knl|test");
+  parse_machine(f, q.machine);
   q.memory_model = lower(f.get_string("memory_model", q.memory_model));
   if (q.memory_model != "sc" && q.memory_model != "tso") {
     f.fail("memory_model must be sc|tso");

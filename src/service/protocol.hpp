@@ -108,8 +108,8 @@ inline constexpr std::size_t kMaxGuestElfBytes = 256u << 10;
 /// query holds the *decoded* bytes plus their content hash. The canonical
 /// form embeds only elf_sha — two requests shipping the same binary under
 /// different base64 spellings (or ids) canonicalize identically, so the
-/// sharded LRU, the disk tier and the fleet's stale-serving all work on
-/// run_guest unchanged.
+/// sharded LRU and the fleet's stale LRU work on run_guest unchanged
+/// (run_guest has no disk tier; only simulate results go to disk).
 struct GuestQuery {
   std::string machine = "xeon";     ///< sim preset: xeon | knl | test
   std::string memory_model = "sc";  ///< sc | tso

@@ -1,6 +1,7 @@
 #include "sim/config.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
 namespace am::sim {
 
@@ -170,6 +171,14 @@ MachineConfig test_machine(CoreId cores, Cycles xfer, Cycles l1, Cycles mem) {
   return c;
 }
 
+std::string preset_names(std::string_view separator) {
+  std::string out(kPresetNames[0]);
+  for (std::size_t i = 1; i < kPresetNames.size(); ++i) {
+    (out += separator) += kPresetNames[i];
+  }
+  return out;
+}
+
 MachineConfig preset_by_name(const std::string& name) {
   if (name == "xeon" || name == "xeon-e5-2x18" || name == "e5") {
     return xeon_e5_2x18();
@@ -177,7 +186,9 @@ MachineConfig preset_by_name(const std::string& name) {
   if (name == "knl" || name == "knl-64" || name == "phi") {
     return knl_64();
   }
-  return test_machine(4);
+  if (name == "test" || name == "test-uniform") return test_machine(4);
+  throw std::invalid_argument("unknown machine preset '" + name + "' (want " +
+                              preset_names(" | ") + ")");
 }
 
 }  // namespace am::sim

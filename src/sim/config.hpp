@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "atomics/primitives.hpp"
@@ -146,8 +147,17 @@ MachineConfig knl_64();
 MachineConfig test_machine(CoreId cores, Cycles xfer = 100, Cycles l1 = 4,
                            Cycles mem = 200);
 
-/// Looks up a preset by name ("xeon" | "knl"); returns test_machine(4) for
-/// unknown names.
+/// The canonical preset names: the one list requests, `sim:<preset>` specs
+/// and the conformance fuzzer's --preset name machines from.
+inline constexpr std::array<std::string_view, 3> kPresetNames = {"xeon", "knl",
+                                                                 "test"};
+
+/// kPresetNames joined by @p separator, for error messages.
+std::string preset_names(std::string_view separator);
+
+/// Looks up a preset by name or alias: "xeon" ("e5", "xeon-e5-2x18"), "knl"
+/// ("phi", "knl-64"), "test" ("test-uniform": test_machine(4)). Throws
+/// std::invalid_argument for any other name instead of substituting one.
 MachineConfig preset_by_name(const std::string& name);
 
 /// Builds a placement permutation over @p cores physical cores:

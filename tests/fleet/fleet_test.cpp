@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <set>
 #include <string>
@@ -352,7 +353,7 @@ TEST(Fleet, DeadFleetPromotesSimulateIntoSharedDiskCache) {
   const std::string key = bench::sweep_cache_key(
       bench::sim_backend_cache_identity(mc, bench::SimBackendOptions{}),
       service::simulate_workload(request->point),
-      bench::sweep_point_seed(request->point.seed, 0));
+      bench::point_seed(request->point.seed, 0));
   struct ::stat st {};
   EXPECT_EQ(::stat((cache_dir + "/" + key + ".json").c_str(), &st), 0)
       << "promotion did not write " << key << ".json";
@@ -380,6 +381,51 @@ TEST(Fleet, DeadFleetPromotesSimulateIntoSharedDiskCache) {
   EXPECT_FALSE(miss.ok);
   EXPECT_EQ(service::response_error_code(miss.response),
             service::errcode::kUnavailable);
+}
+
+TEST(Fleet, DeadFleetPromotesUnderTheFleetCycleBudget) {
+  // Workers that exit at once keep the fleet dark, so a simulate goes
+  // straight to promotion. Under --max-point-cycles=100 it must answer what
+  // a worker with that budget answers (a timeout) and publish nothing to
+  // the shared disk tier for recovering workers to serve as a success.
+  FleetConfig config = fast_config(1);
+  config.worker_binary = "/bin/true";
+  config.restart_backoff_ms = 60000;
+  config.sweep_cache_dir = fresh_runtime_dir();
+  config.max_point_cycles = 100;
+  const std::string cache_dir = config.sweep_cache_dir;
+  Supervisor supervisor(std::move(config));
+  RouterConfig router_config;
+  router_config.failover_retries = 0;
+  Router router(supervisor, router_config);
+  std::string error;
+  ASSERT_TRUE(supervisor.start(&error)) << error;
+
+  const std::string line =
+      R"({"kind":"simulate","machine":"test","prim":"FAA","threads":2,"seed":11,"id":"budget-1"})";
+  const auto request = service::parse_request(line, &error);
+  ASSERT_TRUE(request.has_value()) << error;
+  const service::HandleResult promoted = router.handle(*request, line, nullptr);
+  EXPECT_EQ(router.promoted(), 1u);
+  EXPECT_FALSE(promoted.ok);
+
+  service::ServiceConfig worker_cfg;
+  worker_cfg.max_point_cycles = 100;
+  worker_cfg.metrics = false;
+  service::ServiceCore worker(worker_cfg);
+  std::string direct = worker.handle(*request, line, nullptr).response;
+  if (direct.empty() || direct.back() != '\n') direct += '\n';
+  EXPECT_EQ(promoted.response, direct);
+  EXPECT_NE(promoted.response.find("simulation timeout: "), std::string::npos)
+      << promoted.response;
+
+  std::size_t disk_entries = 0;
+  for (const auto& e :
+       std::filesystem::recursive_directory_iterator(cache_dir)) {
+    if (e.path().extension() == ".json") ++disk_entries;
+  }
+  EXPECT_EQ(disk_entries, 0u);
+  supervisor.drain();
 }
 
 TEST(Fleet, RouterScrapeRendersItsAndItsSupervisorsBooks) {

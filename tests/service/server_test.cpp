@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <sstream>
@@ -107,6 +108,35 @@ TEST(ServiceCore, SimulateRunsAndCaches) {
   const auto other = core.handle(parse_or_die(
       R"({"kind":"simulate","machine":"test","prim":"CAS","threads":4,"seed":2})"));
   EXPECT_FALSE(other.cache_hit);
+}
+
+TEST(ServiceCore, SimulateOverCycleBudgetTimesOutUncached) {
+  // ServiceConfig::max_point_cycles (am_serve --max-point-cycles): a point
+  // over budget answers a timeout error and lands in neither cache tier.
+  const std::string dir = testing::TempDir() + "/am_budget_test_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  ServiceConfig config;
+  config.sim_cache_dir = dir;
+  config.max_point_cycles = 100;
+  ServiceCore core(config);
+  const Request r = parse_or_die(
+      R"({"kind":"simulate","machine":"test","prim":"FAA","threads":2,"seed":11})");
+  const auto first = core.handle(r);
+  EXPECT_FALSE(first.ok);
+  EXPECT_NE(first.response.find("\"simulation timeout: "), std::string::npos)
+      << first.response;
+  const auto second = core.handle(r);
+  EXPECT_FALSE(second.cache_hit);
+  EXPECT_EQ(second.response, first.response);
+  EXPECT_EQ(core.cache().counters().entries, 0u);
+  std::size_t disk_entries = 0;
+  if (std::filesystem::exists(dir)) {
+    for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+      if (e.path().extension() == ".json") ++disk_entries;
+    }
+  }
+  EXPECT_EQ(disk_entries, 0u);
 }
 
 TEST(ServiceCore, SpellingsSharingAKeyGetByteIdenticalRepliesUncached) {

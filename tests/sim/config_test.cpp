@@ -33,7 +33,8 @@ TEST(Presets, LookupByName) {
   EXPECT_EQ(preset_by_name("e5").name, "xeon-e5-2x18");
   EXPECT_EQ(preset_by_name("knl").name, "knl-64");
   EXPECT_EQ(preset_by_name("phi").name, "knl-64");
-  EXPECT_EQ(preset_by_name("nope").name, "test-uniform");
+  EXPECT_EQ(preset_by_name("test").name, "test-uniform");
+  EXPECT_THROW(preset_by_name("nope"), std::invalid_argument);
 }
 
 TEST(Presets, ExecCostsOrdering) {

@@ -133,10 +133,7 @@ int main(int argc, char** argv) {
   fleet_config.max_inflight =
       static_cast<int>(std::max<std::int64_t>(1, cli.get_int("max-inflight")));
   fleet_config.chaos = &chaos;
-  if (cli.get_int("max-point-cycles") != 0) {
-    fleet_config.worker_args.push_back(
-        "--max-point-cycles=" + std::to_string(cli.get_int("max-point-cycles")));
-  }
+  fleet_config.max_point_cycles = cli.get_int("max-point-cycles");
 
   std::string runtime_dir = cli.get("runtime-dir");
   if (runtime_dir.empty()) {
