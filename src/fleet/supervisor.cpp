@@ -29,7 +29,7 @@ std::string find_worker_binary() {
   const auto slash = dir.find_last_of('/');
   if (slash == std::string::npos) return "";
   dir.resize(slash);
-  for (const std::string candidate :
+  for (const std::string& candidate :
        {dir + "/am_serve", dir + "/../tools/am_serve"}) {
     if (::access(candidate.c_str(), X_OK) == 0) return candidate;
   }

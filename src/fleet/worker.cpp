@@ -24,14 +24,14 @@ const char* to_string(WorkerState s) noexcept {
 }
 
 WorkerProcess::~WorkerProcess() {
-  if (pid_ > 0) {
-    ::kill(pid_, SIGKILL);
+  if (running()) {
+    ::kill(pid(), SIGKILL);
     wait_exit();
   }
 }
 
 bool WorkerProcess::spawn(const WorkerSpec& spec, std::string* error) {
-  if (pid_ > 0) {
+  if (running()) {
     if (error != nullptr) *error = "worker already running";
     return false;
   }
@@ -76,30 +76,32 @@ bool WorkerProcess::spawn(const WorkerSpec& spec, std::string* error) {
     ::execv(argv[0], argv.data());
     ::_exit(127);  // exec failed; the supervisor reaps status 127
   }
-  pid_ = pid;
+  pid_.store(pid, std::memory_order_release);
   return true;
 }
 
 bool WorkerProcess::reap(int* status) {
-  if (pid_ <= 0) return false;
+  const pid_t pid = this->pid();
+  if (pid <= 0) return false;
   int st = 0;
-  const pid_t rc = ::waitpid(pid_, &st, WNOHANG);
-  if (rc != pid_) return false;
+  if (::waitpid(pid, &st, WNOHANG) != pid) return false;
   if (status != nullptr) *status = st;
-  pid_ = -1;
+  pid_.store(-1, std::memory_order_release);
   return true;
 }
 
 void WorkerProcess::deliver(int sig) noexcept {
-  if (pid_ > 0) ::kill(pid_, sig);
+  const pid_t pid = this->pid();
+  if (pid > 0) ::kill(pid, sig);
 }
 
 void WorkerProcess::wait_exit() noexcept {
-  if (pid_ <= 0) return;
+  const pid_t pid = this->pid();
+  if (pid <= 0) return;
   int st = 0;
-  while (::waitpid(pid_, &st, 0) < 0 && errno == EINTR) {
+  while (::waitpid(pid, &st, 0) < 0 && errno == EINTR) {
   }
-  pid_ = -1;
+  pid_.store(-1, std::memory_order_release);
 }
 
 bool WorkerProcess::probe_ping(int timeout_ms) const {

@@ -10,6 +10,7 @@
 
 #include <sys/types.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -50,8 +51,8 @@ class WorkerProcess {
   /// immediate exit the supervisor reaps).
   bool spawn(const WorkerSpec& spec, std::string* error);
 
-  pid_t pid() const noexcept { return pid_; }
-  bool running() const noexcept { return pid_ > 0; }
+  pid_t pid() const noexcept { return pid_.load(std::memory_order_acquire); }
+  bool running() const noexcept { return pid() > 0; }
 
   /// Reaps with WNOHANG. True when the process exited/was killed since the
   /// last call (pid() becomes -1); fills @p status when non-null.
@@ -73,7 +74,9 @@ class WorkerProcess {
   bool probe_ping(int timeout_ms) const;
 
  private:
-  pid_t pid_ = -1;
+  /// Written by the supervisor's tick thread (spawn, reap), read by any
+  /// thread that asks for status().
+  std::atomic<pid_t> pid_{-1};
   service::Endpoint endpoint_;
 };
 

@@ -37,9 +37,10 @@ class ServiceClient {
   void close();
 
   /// Arms SO_RCVTIMEO/SO_SNDTIMEO on the current connection (and every
-  /// later one) so recv_line()/send_line() fail with last_status() ==
-  /// RecvStatus::kTimeout instead of blocking forever on a hung peer.
-  /// 0 disables the deadline.
+  /// later one) so recv_line() fails with last_status() ==
+  /// RecvStatus::kTimeout, and send_line() returns false once the peer has
+  /// taken no byte for the longer of the deadline and kWriteStall, instead
+  /// of blocking forever on a hung peer. 0 disables the deadline.
   void set_timeout_ms(int timeout_ms);
 
   /// Caps the receive buffer: a response growing past @p max_bytes without

@@ -20,8 +20,8 @@
 // responses byte-identical across worker threads and cache temperature.
 //
 // The transport (Server) talks to handlers through the RequestHandler
-// interface, so the same poll loop can front either a ServiceCore (one
-// worker process) or a fleet::Router (the supervisor's forwarding tier).
+// interface, so the same server can front either a ServiceCore (one worker
+// process) or a fleet::Router (the supervisor's forwarding tier).
 #pragma once
 
 #include <cstdint>
@@ -46,8 +46,8 @@ class PromWriter;
 
 namespace am::service {
 
-/// Per-request observability context, minted by the transport when a request
-/// line is dequeued. Carried through the handlers so a simulate run's
+/// Per-request observability context, minted by the transport when a worker
+/// takes up a request line. Carried through the handlers so a simulate run's
 /// protocol-level trace events land in the same sink (and on the same
 /// timeline) as the server's own request span.
 struct RequestContext {

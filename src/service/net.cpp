@@ -8,9 +8,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace am::service {
+
+const std::chrono::milliseconds kWriteStall{2000};
 
 namespace {
 
@@ -189,24 +192,29 @@ std::uint16_t bound_port(int fd) {
 }
 
 bool write_all(int fd, const std::string& data) {
+  using Clock = std::chrono::steady_clock;
+  auto progress_at = Clock::now();
   std::size_t off = 0;
   while (off < data.size()) {
     const ssize_t n =
         ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
+      if (off < data.size()) progress_at = Clock::now();
       continue;
     }
     if (n == 0) return false;  // send never legitimately writes nothing
     if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      pollfd pfd{fd, POLLOUT, 0};
-      const int rc = ::poll(&pfd, 1, 1000);
-      if (rc < 0 && errno != EINTR) return false;
-      if (rc > 0 && (pfd.revents & (POLLERR | POLLNVAL)) != 0) return false;
-      continue;  // rc == 0 (timeout): retry the send; it re-reports EAGAIN
-    }
-    return false;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    // A peer that takes no byte for kWriteStall is not reading; giving up
+    // frees the caller instead of letting the peer pin it forever.
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        progress_at + kWriteStall - Clock::now());
+    if (left.count() <= 0) return false;
+    pollfd pfd{fd, POLLOUT, 0};
+    const int rc = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (rc < 0 && errno != EINTR) return false;
+    if (rc > 0 && (pfd.revents & (POLLERR | POLLNVAL)) != 0) return false;
   }
   return true;
 }

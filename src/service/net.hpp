@@ -8,6 +8,7 @@
 // validate, so a flag that parsed always yields an Endpoint here.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -42,8 +43,13 @@ int connect_to(const Endpoint& ep, std::string* error);
 /// listen_on). Returns 0 on failure or for unix sockets.
 std::uint16_t bound_port(int fd);
 
+/// How long write_all() waits on a peer that accepts no byte before it
+/// gives up (defined in net.cpp).
+extern const std::chrono::milliseconds kWriteStall;
+
 /// Writes all of @p data to @p fd, retrying short writes, EINTR and EAGAIN
-/// (waits for writability); returns false on a hard error or peer close.
+/// (waits for writability); returns false on a hard error, peer close, or
+/// once the peer has accepted no byte for kWriteStall.
 bool write_all(int fd, const std::string& data);
 
 /// Outcome of a bounded line read (see recv_line).

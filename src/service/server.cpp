@@ -1,14 +1,15 @@
 #include "service/server.hpp"
 
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <condition_variable>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -23,7 +24,8 @@ namespace {
 
 // Process-wide shutdown self-pipe. Signal handlers may only call
 // async-signal-safe functions; write(2) on a pre-created pipe qualifies,
-// poll(2) on its read end wakes the poller. Created once, on first use.
+// and its read end in every server's epoll set wakes the workers. Created
+// once, on first use.
 std::atomic<int> g_shutdown_write{-1};
 int g_shutdown_read = -1;
 
@@ -46,6 +48,19 @@ void drain_fd(int fd) {
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+// epoll_event::data of the two fds that are not connections; a connection
+// carries its Connection*, which is never 0 or 1.
+constexpr std::uint64_t kShutdownTag = 0;
+constexpr std::uint64_t kListenTag = 1;
+
+bool watch(int epoll_fd, int op, int fd, std::uint32_t events,
+           std::uint64_t data) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = data;
+  return ::epoll_ctl(epoll_fd, op, fd, &ev) == 0;
 }
 
 }  // namespace
@@ -126,8 +141,7 @@ Server::~Server() {
   for (const Endpoint& ep : bound_) {
     if (ep.kind == Endpoint::Kind::kUnix) ::unlink(ep.path.c_str());
   }
-  if (wake_pipe_[0] >= 0) ::close(wake_pipe_[0]);
-  if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
 void Server::request_shutdown() noexcept {
@@ -148,23 +162,27 @@ bool Server::start(std::string* error) {
     return false;
   }
   drain_fd(g_shutdown_read);  // stale requests from a previous server
-  if (::pipe(wake_pipe_) != 0) {
-    if (error != nullptr) *error = "cannot create wakeup pipe";
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0 ||
+      !watch(epoll_fd_, EPOLL_CTL_ADD, g_shutdown_read, EPOLLIN,
+             kShutdownTag)) {
+    if (error != nullptr) *error = "cannot create epoll set";
     return false;
   }
-  set_nonblocking(wake_pipe_[0]);
-  set_nonblocking(wake_pipe_[1]);
 
   for (const Endpoint& ep : config_.listen) {
     const int fd = listen_on(ep, error);
-    if (fd < 0) {
+    if (fd >= 0) listen_fds_.push_back(fd);
+    if (fd < 0 || !watch(epoll_fd_, EPOLL_CTL_ADD, fd, EPOLLIN, kListenTag)) {
+      if (fd >= 0 && error != nullptr) {
+        *error = "cannot watch " + ep.to_string();
+      }
       for (const int open : listen_fds_) ::close(open);
       listen_fds_.clear();
       bound_.clear();
       return false;
     }
     set_nonblocking(fd);
-    listen_fds_.push_back(fd);
     Endpoint resolved = ep;
     if (resolved.kind == Endpoint::Kind::kTcp && resolved.port == 0) {
       resolved.port = bound_port(fd);
@@ -195,20 +213,20 @@ bool Server::start(std::string* error) {
   for (unsigned i = 0; i < config_.service_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  poller_ = std::thread([this] { poll_loop(); });
   started_ = true;
   return true;
 }
 
 void Server::wait() {
   if (!started_ || joined_) return;
-  poller_.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_workers_ = true;
-  }
-  job_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
+  {
+    // Every worker has left the drain, so no connection has an owner: the
+    // ones still open were idle.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& entry : connections_) ::close(entry.first);
+    connections_.clear();
+  }
   if (books_->sampler.joinable()) {
     {
       std::lock_guard<std::mutex> lock(books_->mu);
@@ -227,212 +245,122 @@ std::uint64_t Server::uptime_ms() const {
           .count());
 }
 
-void Server::poll_loop() {
-  std::vector<pollfd> fds;
-  std::vector<std::shared_ptr<Connection>> polled;
-  std::uint32_t next_conn_id = 1;
-
-  for (;;) {
-    fds.clear();
-    polled.clear();
-    fds.push_back({g_shutdown_read, POLLIN, 0});
-    fds.push_back({wake_pipe_[0], POLLIN, 0});
-    bool any_busy = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!draining_) {
-        for (const int fd : listen_fds_) fds.push_back({fd, POLLIN, 0});
-      }
-      for (const auto& conn : connections_) {
-        if (conn->busy || !conn->pending.empty()) any_busy = true;
-        // While draining, stop reading request bytes entirely: in-flight and
-        // already-received requests finish, but a closed-loop client cannot
-        // keep the drain alive by sending more.
-        if (!conn->busy && !conn->close_after && !draining_) {
-          fds.push_back({conn->fd, POLLIN, 0});
-          polled.push_back(conn);
-        }
-      }
-      if (draining_ && !any_busy) {
-        // Drained: nothing in flight, nothing queued. Idle connections are
-        // closed here rather than served further.
-        for (const auto& conn : connections_) ::close(conn->fd);
-        connections_.clear();
-        return;
-      }
-    }
-
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 200);
-    if (rc < 0 && errno != EINTR) return;
-
-    if ((fds[0].revents & POLLIN) != 0) {
-      drain_fd(g_shutdown_read);
-      bool entered_drain = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!draining_) {
-          draining_ = true;
-          entered_drain = true;
-          for (const int fd : listen_fds_) ::close(fd);
-          listen_fds_.clear();
-        }
-      }
-      // Outside mu_: a forwarding handler's drain may block on its workers.
-      if (entered_drain) handler_.on_drain();
-      continue;  // re-evaluate: maybe nothing is in flight and we can exit
-    }
-
-    if ((fds[1].revents & POLLIN) != 0) {
-      drain_fd(wake_pipe_[0]);
-      std::lock_guard<std::mutex> lock(mu_);
-      for (auto it = connections_.begin(); it != connections_.end();) {
-        Connection& conn = **it;
-        if (conn.done) {
-          conn.done = false;
-          conn.busy = false;
-          if (!conn.pending.empty()) dispatch_locked(conn);
-        }
-        if (!conn.busy && conn.pending.empty() && conn.close_after) {
-          ::close(conn.fd);
-          it = connections_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      continue;
-    }
-
-    // Accept on every ready listener (index offset: shutdown + wake pipes,
-    // then listeners in order — only when not draining).
-    std::size_t idx = 2;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!draining_) {
-        for (std::size_t i = 0; i < listen_fds_.size(); ++i, ++idx) {
-          if ((fds[idx].revents & POLLIN) == 0) continue;
-          for (;;) {
-            const int cfd = ::accept(listen_fds_[i], nullptr, nullptr);
-            if (cfd < 0) break;
-            set_nonblocking(cfd);
-            auto conn = std::make_shared<Connection>();
-            conn->fd = cfd;
-            conn->id = next_conn_id++;
-            connections_.push_back(std::move(conn));
-            books_->accepted->inc();
-          }
-        }
-      }
-    }
-
-    for (std::size_t p = 0; p < polled.size(); ++p, ++idx) {
-      if (idx >= fds.size()) break;
-      if ((fds[idx].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      handle_readable(*polled[p]);
-    }
-  }
-}
-
-void Server::handle_readable(Connection& conn) {
-  char buf[16384];
-  bool eof = false;
-  for (;;) {
-    const ssize_t n = ::read(conn.fd, buf, sizeof buf);
-    if (n > 0) {
-      conn.buffer.append(buf, static_cast<std::size_t>(n));
-      if (conn.buffer.size() > config_.max_line_bytes) {
-        // Oversized line: answer once, then hang up. The buffer cannot be
-        // resynchronized to the next line boundary reliably.
-        write_all(conn.fd,
-                  make_error_response("", errcode::kRequestTooLarge,
-                                      "request line exceeds " +
-                                          std::to_string(
-                                              config_.max_line_bytes) +
-                                          " bytes"));
-        eof = true;
-        break;
-      }
-      continue;
-    }
-    if (n == 0) {
-      eof = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    eof = true;
-    break;
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t nl = conn.buffer.find('\n', start);
-    if (nl == std::string::npos) break;
-    std::string line = conn.buffer.substr(start, nl - start);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (!line.empty()) conn.pending.push_back(std::move(line));
-    start = nl + 1;
-  }
-  conn.buffer.erase(0, start);
-  if (eof) conn.close_after = true;
-  if (!conn.busy && !conn.pending.empty()) dispatch_locked(conn);
-  if (eof && !conn.busy && conn.pending.empty()) {
-    for (auto it = connections_.begin(); it != connections_.end(); ++it) {
-      if (it->get() == &conn) {
-        ::close(conn.fd);
-        connections_.erase(it);
-        break;
-      }
-    }
-  }
-}
-
-void Server::dispatch_locked(Connection& conn) {
-  conn.busy = true;
-  for (const auto& c : connections_) {
-    if (c.get() == &conn) {
-      job_queue_.push_back(c);
-      break;
-    }
-  }
-  job_cv_.notify_one();
-}
-
 void Server::worker_loop() {
   for (;;) {
-    std::shared_ptr<Connection> conn;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      job_cv_.wait(lock, [this] { return stop_workers_ || !job_queue_.empty(); });
-      if (job_queue_.empty()) {
-        if (stop_workers_) return;
-        continue;
-      }
-      conn = std::move(job_queue_.front());
-      job_queue_.pop_front();
+    epoll_event ev{};
+    const int n = ::epoll_wait(epoll_fd_, &ev, 1, -1);
+    if (n < 0 && errno != EINTR) return;
+    if (n <= 0) continue;
+    if (ev.data.u64 == kShutdownTag) {
+      // Nobody reads the pipe, so it wakes every worker, and each leaves.
+      begin_drain();
+      return;
     }
-    process(std::move(conn));
+    if (ev.data.u64 == kListenTag) {
+      accept_ready();
+      continue;
+    }
+    Connection& conn = *reinterpret_cast<Connection*>(
+        static_cast<std::uintptr_t>(ev.data.u64));
+    bool rearmed = false;
+    {
+      std::lock_guard<std::mutex> owner(conn.owner);
+      rearmed = serve(conn);
+    }
+    if (!rearmed) {
+      // Not armed, so no other worker can be handed this connection.
+      const int fd = conn.fd;
+      std::lock_guard<std::mutex> lock(mu_);
+      ::close(fd);
+      connections_.erase(fd);  // destroys conn
+    }
   }
 }
 
-void Server::process(std::shared_ptr<Connection> conn) {
-  std::string line;
+void Server::accept_ready() {
+  std::lock_guard<std::mutex> lock(mu_);
+  // listen_fds_ is empty once the drain has begun.
+  for (const int listen_fd : listen_fds_) {
+    for (;;) {
+      const int fd = ::accept4(listen_fd, nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd < 0) break;
+      auto conn = std::make_unique<Connection>();
+      conn->fd = fd;
+      conn->id = next_conn_id_++;
+      if (!watch(epoll_fd_, EPOLL_CTL_ADD, fd, EPOLLIN | EPOLLONESHOT,
+                 reinterpret_cast<std::uintptr_t>(conn.get()))) {
+        ::close(fd);
+        continue;
+      }
+      books_->accepted->inc();
+      connections_.emplace(fd, std::move(conn));
+    }
+  }
+}
+
+void Server::begin_drain() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (conn->pending.empty()) {
-      conn->done = true;
-      const char byte = 1;
-      [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-      return;
-    }
-    line = std::move(conn->pending.front());
-    conn->pending.pop_front();
+    if (draining_.load(std::memory_order_relaxed)) return;
+    draining_.store(true, std::memory_order_release);
+    for (const int fd : listen_fds_) ::close(fd);
+    listen_fds_.clear();
   }
+  // Outside mu_: a forwarding handler's drain may block on its workers.
+  handler_.on_drain();
+}
 
+bool Server::serve(Connection& conn) {
+  // While draining, read no request bytes at all: lines already read were
+  // answered before the connection was re-armed, and a closed-loop client
+  // cannot keep the drain alive by sending more.
+  if (draining_.load(std::memory_order_acquire)) return false;
+  char buf[16384];
+  ssize_t n = 0;
+  do {
+    n = ::read(conn.fd, buf, sizeof buf);
+  } while (n < 0 && errno == EINTR);
+  if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
+    return false;  // EOF or reset
+  }
+  const std::size_t scanned = conn.buffer.size();  // a partial line, no '\n'
+  if (n > 0) conn.buffer.append(buf, static_cast<std::size_t>(n));
+
+  const auto refuse_oversized = [&] {
+    // Answer once, then hang up: the stream cannot be resynchronized to the
+    // next line boundary reliably.
+    write_all(conn.fd,
+              make_error_response("", errcode::kRequestTooLarge,
+                                  "request line exceeds " +
+                                      std::to_string(config_.max_line_bytes) +
+                                      " bytes"));
+    return false;
+  };
+  // The byte cap applies to each line, never to a burst of pipelined ones.
+  std::size_t start = 0;
+  for (std::size_t nl = conn.buffer.find('\n', scanned);
+       nl != std::string::npos; nl = conn.buffer.find('\n', start)) {
+    std::string_view line(conn.buffer.data() + start, nl - start);
+    start = nl + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.size() > config_.max_line_bytes) return refuse_oversized();
+    if (!line.empty() && !answer(conn, line)) return false;
+  }
+  conn.buffer.erase(0, start);
+  if (conn.buffer.size() > config_.max_line_bytes) return refuse_oversized();
+
+  // Hands the connection to whichever worker wakes next; bytes that are
+  // already waiting fire the event at once.
+  return watch(epoll_fd_, EPOLL_CTL_MOD, conn.fd, EPOLLIN | EPOLLONESHOT,
+               reinterpret_cast<std::uintptr_t>(&conn));
+}
+
+bool Server::answer(const Connection& conn, std::string_view line) {
   const auto t0 = std::chrono::steady_clock::now();
-  // The request id is minted when the line is dequeued, before any handler
-  // runs, so the trace events a simulate emits mid-flight and the request's
-  // own issue/done span agree on the id.
+  // The request id is minted before any handler runs, so the trace events a
+  // simulate emits mid-flight and the request's own issue/done span agree
+  // on the id.
   const std::uint64_t req_id =
       next_req_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   std::string response;
@@ -466,13 +394,13 @@ void Server::process(std::shared_ptr<Connection> conn) {
     }
   }
 
-  write_all(conn->fd, response);
+  const bool written = write_all(conn.fd, response);
   const double latency_us =
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - t0)
           .count();
   record_request(kind, request.has_value(), ok, cache_hit, latency_us,
-                 conn->id, req_id);
+                 conn.id, req_id);
   if (config_.slow_request_us > 0.0 && latency_us >= config_.slow_request_us) {
     books_->slow_requests->inc();
     // One structured line per slow request; req_id is the join key into the
@@ -483,14 +411,10 @@ void Server::process(std::shared_ptr<Connection> conn) {
                  "\"threshold_us\":%.1f}\n",
                  static_cast<unsigned long long>(req_id),
                  request.has_value() ? to_string(kind) : "parse_error",
-                 conn->id, latency_us, ok ? "true" : "false",
+                 conn.id, latency_us, ok ? "true" : "false",
                  config_.slow_request_us);
   }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  conn->done = true;
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+  return written;
 }
 
 void Server::record_request(RequestKind kind, bool parsed, bool ok,

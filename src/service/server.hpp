@@ -1,19 +1,24 @@
 // The am_serve daemon's network engine.
 //
-// Architecture: one poller thread multiplexes every listening socket and
-// every *idle* connection with poll(2); complete request lines are handed to
-// a bounded worker pool (--service-threads). A connection has at most one
-// request in flight — while a worker owns it, its fd is not polled, so a
-// slow simulate on one connection never blocks service to the others, and
-// a closed-loop load generator with many more connections than workers
-// queues at the server instead of deadlocking it. Workers write the
-// response themselves (they are the only owner of the connection at that
-// point) and re-arm the fd through a wakeup pipe.
+// Architecture: one epoll set holds the listening sockets, the process-wide
+// shutdown self-pipe and every accepted connection, and each of the
+// --service-threads workers waits on it for one event at a time. A
+// connection is armed EPOLLIN | EPOLLONESHOT, so the worker that wakes on it
+// owns it alone: it reads what has arrived, answers every complete line in
+// order on its own thread, and re-arms the fd (or closes it on EOF, a failed
+// write, an oversized line or a drain). Any idle worker takes any ready
+// connection, so a slow simulate on one connection never delays another
+// while a worker is free, and a closed-loop load generator with many more
+// connections than workers queues in its own sockets instead of
+// deadlocking the server. A ready listener is accepted on by whichever
+// worker woke for it.
 //
 // Shutdown: request_shutdown() is async-signal-safe (one write(2) to a
-// self-pipe) and is what the SIGTERM/SIGINT handlers call. The poller then
-// stops accepting, closes idle connections, lets in-flight and
-// already-received requests finish, and wait() returns — a clean drain.
+// self-pipe) and is what the SIGTERM/SIGINT handlers call. The pipe is left
+// readable, so every worker wakes: the first stops accepting and runs the
+// handler's on_drain(), lines already read are answered, no more bytes are
+// read, every worker leaves, and wait() closes the connections still open
+// and returns — a clean drain.
 //
 // Books: each Server keeps its tallies (per-kind requests, errors, cache-hit
 // responses, connections, the latency histogram) once, as am_server_*
@@ -26,13 +31,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -45,8 +50,8 @@ struct ServerConfig {
   std::vector<Endpoint> listen;     ///< bound in order; all serve requests
   unsigned service_threads = 4;     ///< worker pool width (>= 1)
   std::size_t max_line_bytes = 1 << 20;  ///< request-line size cap
-  /// Per-request structured logging: a kIssue event when a request line is
-  /// dequeued and a kOpDone with the service latency when its response is
+  /// Per-request structured logging: a kIssue event when a worker takes up
+  /// a request line and a kOpDone with the service latency when its response is
   /// written; simulate requests additionally stream their machine's
   /// protocol events through the same sink. Not owned; nullptr disables.
   /// Must be thread-safe (wrap in obs::SynchronizedTraceSink) — workers and
@@ -72,7 +77,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds every configured endpoint and starts the poller + workers.
+  /// Binds every configured endpoint and starts the workers.
   /// False (with @p error filled) when any bind fails; nothing keeps
   /// running in that case.
   bool start(std::string* error);
@@ -81,7 +86,8 @@ class Server {
   /// thread. Idempotent.
   void wait();
 
-  /// Async-signal-safe shutdown request; callable from signal handlers.
+  /// Async-signal-safe request to drain every Server in the process;
+  /// callable from signal handlers.
   static void request_shutdown() noexcept;
 
   /// Endpoints actually bound — TCP port 0 is resolved to the kernel's
@@ -106,18 +112,23 @@ class Server {
   struct Connection {
     int fd = -1;
     std::uint32_t id = 0;
-    std::string buffer;              ///< bytes read, not yet split
-    std::deque<std::string> pending; ///< complete lines awaiting a worker
-    bool busy = false;               ///< a worker owns this connection
-    bool done = false;               ///< worker finished; poller must re-arm
-    bool close_after = false;        ///< EOF/overflow seen; close when idle
+    std::string buffer;  ///< bytes read after the last complete line
+    /// Held by the worker serving the connection, across the epoll_ctl that
+    /// re-arms it, so the worker its next event wakes starts only once this
+    /// one has let go: epoll_wait can return before that epoll_ctl does.
+    std::mutex owner;
   };
 
-  void poll_loop();
   void worker_loop();
-  void handle_readable(Connection& conn);
-  void dispatch_locked(Connection& conn);
-  void process(std::shared_ptr<Connection> conn);
+  void accept_ready();
+  void begin_drain();
+  /// Reads what has arrived on @p conn and answers every complete line in
+  /// order. True when the connection was re-armed; false when it must be
+  /// closed (EOF, reset, failed write, oversized line or drain).
+  bool serve(Connection& conn);
+  /// Answers one request line; false when the response could not be
+  /// written.
+  bool answer(const Connection& conn, std::string_view line);
   void record_request(RequestKind kind, bool parsed, bool ok, bool cache_hit,
                       double latency_us, std::uint32_t conn_id,
                       std::uint64_t req_id);
@@ -127,20 +138,19 @@ class Server {
 
   RequestHandler& handler_;
   ServerConfig config_;
-  std::vector<int> listen_fds_;
   std::vector<Endpoint> bound_;
-  int wake_pipe_[2] = {-1, -1};
-
-  std::thread poller_;
-  std::vector<std::thread> workers_;
+  int epoll_fd_ = -1;
   bool started_ = false;
   bool joined_ = false;
 
+  /// Guards the connection table, accept/close and the drain transition.
+  /// A connection's own state belongs to the worker its event woke.
   mutable std::mutex mu_;
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::deque<std::shared_ptr<Connection>> job_queue_;
-  bool stop_workers_ = false;
-  bool draining_ = false;
+  std::vector<int> listen_fds_;  ///< closed and cleared when the drain begins
+  std::unordered_map<int, std::unique_ptr<Connection>> connections_;
+  std::uint32_t next_conn_id_ = 1;
+  /// Set under mu_; read without it by workers before they read a socket.
+  std::atomic<bool> draining_{false};
 
   std::chrono::steady_clock::time_point start_time_;  ///< set by start()
   std::atomic<std::uint64_t> next_req_id_{0};
@@ -150,7 +160,7 @@ class Server {
   struct Books;
   std::unique_ptr<Books> books_;
 
-  std::condition_variable job_cv_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace am::service

@@ -669,6 +669,9 @@ OpResult Machine::apply_op(Primitive prim, LineState& ls, OpContext& ctx) {
         r.success = false;
       }
       break;
+    case Primitive::kFence:
+      // Fences retire as LocalOp::kFence and never reach apply_op.
+      break;
   }
   return r;
 }

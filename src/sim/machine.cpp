@@ -964,6 +964,9 @@ OpResult Machine::apply_op(Primitive prim, std::uint32_t slot,
         r.success = false;
       }
       break;
+    case Primitive::kFence:
+      // Fences retire as LocalOp::kFence and never reach apply_op.
+      break;
   }
   return r;
 }

@@ -18,7 +18,7 @@ std::string decode_ok(const std::string& text) {
 }
 
 TEST(Base64, RoundTripsAllTailLengths) {
-  for (const std::string s :
+  for (const std::string& s :
        {std::string(), std::string("f"), std::string("fo"), std::string("foo"),
         std::string("foob"), std::string("fooba"), std::string("foobar"),
         std::string("\x00\xff\x7f\x80", 4)}) {

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <future>
+#include <latch>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -16,6 +21,7 @@
 #include "obs/prometheus.hpp"
 #include "service/client.hpp"
 #include "service/handlers.hpp"
+#include "service/net.hpp"
 #include "service/server.hpp"
 
 namespace am::service {
@@ -526,6 +532,126 @@ TEST(Server, ScrapeRendersEveryFamilyOnce) {
   for (const auto& [family, n] : type_lines) {
     EXPECT_EQ(n, 1) << family;
   }
+}
+
+// Answers every request with a pong, but holds the one whose id is "hold"
+// until release is counted down.
+class HoldingHandler final : public RequestHandler {
+ public:
+  HandleResult handle(const Request& r, std::string_view raw,
+                      const RequestContext* ctx) override {
+    (void)raw;
+    (void)ctx;
+    if (r.id == "hold") {
+      held.count_down();
+      release.wait();
+    }
+    return {make_result_response(r, R"({"pong":true})"), true, false};
+  }
+
+  std::latch held{1};
+  std::latch release{1};
+};
+
+TEST(Server, HeldRequestDoesNotDelayAnotherConnection) {
+  HoldingHandler handler;
+  ServerConfig config;
+  Endpoint ep;
+  ep.host = "127.0.0.1";
+  ep.port = 0;
+  config.listen.push_back(ep);
+  config.service_threads = 2;
+  config.metrics = false;
+  Server server(handler, config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const Endpoint& bound = server.bound_endpoints().front();
+
+  ServiceClient held_client;
+  held_client.set_timeout_ms(10000);
+  ServiceClient other;
+  other.set_timeout_ms(5000);
+  std::optional<std::string> pong;
+  std::string held_reply;
+  if (held_client.connect(bound, &error) &&
+      held_client.send_line(R"({"kind":"ping","id":"hold"})")) {
+    handler.held.wait();
+    // One worker is inside the held request; the other must answer here.
+    if (other.connect(bound, &error)) {
+      pong = other.roundtrip(R"({"kind":"ping","id":"free"})", &error);
+    }
+    handler.release.count_down();
+    held_client.recv_line(&held_reply);
+  }
+  Server::request_shutdown();
+  server.wait();
+
+  ASSERT_TRUE(pong.has_value()) << error;
+  EXPECT_NE(pong->find("\"id\":\"free\""), std::string::npos) << *pong;
+  EXPECT_NE(held_reply.find("\"id\":\"hold\""), std::string::npos)
+      << held_reply;
+}
+
+TEST(Server, ClientThatNeverReadsNeitherPinsTheWorkerNorWedgesTheDrain) {
+  // One worker, and a client that pipelines advise lines without ever
+  // reading a reply: once the socket buffers fill, the worker's write
+  // stalls. The stall bound must free the worker for the next client and
+  // for the drain.
+  ServerConfig config;
+  config.service_threads = 1;
+  LiveServer live(config);
+  const auto bound = kWriteStall + std::chrono::seconds(1);
+  const auto seconds_since = [](auto t0) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  std::string line;
+  for (int i = 0; i < 1000; ++i) {
+    line += R"({"kind":"advise","target":"lock","threads":16,"critical":100})"
+            "\n";
+  }
+  std::vector<int> fds;
+  std::vector<std::thread> senders;
+  const auto start_non_reader = [&] {
+    std::string error;
+    const int fd = connect_to(live.endpoint, &error);
+    ASSERT_GE(fd, 0) << error;
+    fds.push_back(fd);
+    // Blocking writes until the server hangs up (or teardown shuts the
+    // socket down); 64 MB is far beyond any socket buffer.
+    senders.emplace_back([fd, &line] {
+      for (int sent = 0; sent < 1000; ++sent) {
+        if (!write_all(fd, line)) return;
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  };
+
+  start_non_reader();
+  ServiceClient client;
+  client.set_timeout_ms(static_cast<int>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(bound).count()));
+  std::string error;
+  ASSERT_TRUE(client.connect(live.endpoint, &error)) << error;
+  auto t0 = std::chrono::steady_clock::now();
+  const auto pong = client.roundtrip(R"({"kind":"ping"})", &error);
+  EXPECT_TRUE(pong.has_value()) << error;
+  EXPECT_LT(seconds_since(t0), std::chrono::duration<double>(bound).count());
+
+  start_non_reader();
+  t0 = std::chrono::steady_clock::now();
+  Server::request_shutdown();
+  auto drained =
+      std::async(std::launch::async, [&live] { live.server.wait(); });
+  EXPECT_EQ(drained.wait_for(bound), std::future_status::ready)
+      << "drain still running " << seconds_since(t0) << " s after shutdown";
+
+  // Hanging the non-readers up also frees a worker the bound failed to.
+  for (const int fd : fds) ::shutdown(fd, SHUT_RDWR);
+  for (auto& t : senders) t.join();
+  for (const int fd : fds) ::close(fd);
+  drained.wait();
 }
 
 TEST(Server, MetricsDisabledStillAnswersStats) {

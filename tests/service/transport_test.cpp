@@ -11,8 +11,10 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "service/client.hpp"
 #include "service/handlers.hpp"
@@ -124,6 +126,57 @@ TEST(Server, OversizedRequestLineGetsStructuredTooLarge) {
 
   Server::request_shutdown();
   server.wait();
+}
+
+TEST(Server, ByteCapCountsOneLineNotAPipelinedBurst) {
+  // 200 pipelined pings are far more than the cap in one read, yet each
+  // line is tiny; only a single line over the cap is refused.
+  ServiceCore core({});
+  ServerConfig config;
+  Endpoint ep;
+  ep.host = "127.0.0.1";
+  ep.port = 0;
+  config.listen.push_back(ep);
+  config.max_line_bytes = 1024;
+  config.metrics = false;
+  Server server(core, config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  ServiceClient client;
+  client.set_timeout_ms(10000);
+  ASSERT_TRUE(client.connect(server.bound_endpoints().front(), &error))
+      << error;
+  constexpr std::size_t kPings = 200;
+  std::string burst;
+  for (std::size_t i = 0; i < kPings; ++i) {
+    burst += R"({"kind":"ping","id":"p)" + std::to_string(i) + "\"}\n";
+  }
+  ASSERT_GT(burst.size(), 2 * config.max_line_bytes);
+  std::vector<std::string> replies;
+  std::optional<std::string> refusal;
+  if (client.send_line(burst)) {
+    for (std::string reply; replies.size() < kPings &&
+                            client.recv_line(&reply);) {
+      replies.push_back(reply);
+    }
+    const std::string oversized =
+        R"({"kind":"ping","junk":")" + std::string(2048, 'z') + "\"}";
+    refusal = client.roundtrip(oversized, &error);
+  }
+  Server::request_shutdown();
+  server.wait();
+
+  ASSERT_EQ(replies.size(), kPings);
+  for (std::size_t i = 0; i < kPings; ++i) {
+    EXPECT_NE(replies[i].find("\"id\":\"p" + std::to_string(i) + "\""),
+              std::string::npos)
+        << replies[i];
+    EXPECT_NE(replies[i].find("\"pong\":true"), std::string::npos)
+        << replies[i];
+  }
+  ASSERT_TRUE(refusal.has_value()) << error;
+  EXPECT_EQ(response_error_code(*refusal), errcode::kRequestTooLarge);
 }
 
 TEST(Server, MultiMegabyteRequestJustOverCapAnswersStructured) {

@@ -5,7 +5,7 @@
 // success envelope.
 //
 //   am_client --connect=127.0.0.1:7787 --kind=ping
-//   am_client --kind=predict --machine=xeon --mode=shared --prim=FAA \
+//   am_client --kind=predict --machine=xeon --mode=shared --prim=FAA
 //             --threads=16 --work=100
 //   am_client --kind=advise --target=lock --threads=32 --critical=200
 //   am_client --kind=simulate --prim=CAS --threads=8 --repeat=2

@@ -8,7 +8,7 @@
 // cache format, so a daemon and batch sweeps can share a cache directory.
 //
 //   am_serve --listen=127.0.0.1:7787 --service-threads=8
-//   am_serve --listen=0.0.0.0:0 --listen-unix=/tmp/am.sock \
+//   am_serve --listen=0.0.0.0:0 --listen-unix=/tmp/am.sock
 //            --sweep-cache=results/cache
 //
 // SIGTERM/SIGINT drain gracefully: stop accepting, finish in-flight
