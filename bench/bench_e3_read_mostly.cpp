@@ -23,8 +23,7 @@ int run(int argc, const char* const* argv) {
   const bench::BackendSpec spec = bench::parse_backend_spec(cli.get("backend"));
   auto backend = bench_util::backend_from(cli, spec);
   const model::BouncingModel model(bench_util::params_for(spec));
-  const Primitive write_prim =
-      parse_primitive(cli.get("write-prim")).value_or(Primitive::kFaa);
+  const Primitive write_prim = bench_util::primitive_flag(cli, "write-prim");
 
   Table table({"machine", "threads", "write %", "measured ops/kcy",
                "model ops/kcy", "invalidations/op"});

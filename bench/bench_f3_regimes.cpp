@@ -23,8 +23,7 @@ int run(int argc, const char* const* argv) {
   const bench::BackendSpec spec = bench::parse_backend_spec(cli.get("backend"));
   auto probe = bench::make_backend(spec);
   const model::BouncingModel model(bench_util::params_for(spec));
-  const Primitive prim =
-      parse_primitive(cli.get("prim")).value_or(Primitive::kFaa);
+  const Primitive prim = bench_util::primitive_flag(cli, "prim");
   auto sweep = bench_util::sweep_from(cli, spec);
 
   Table table({"machine", "threads", "work (cy)", "w/w*", "measured ops/kcy",

@@ -79,7 +79,7 @@ int run(int argc, const char* const* argv) {
                    counters);
 
   // --- (b) locks ------------------------------------------------------------
-  Table lock_table({"threads", "lock", "acquisitions/Mcy", "Jain",
+  Table lock_table({"threads", "lock", "acquisitions/kcy", "Jain", "sim Mops",
                     "advisor Mops", "advisor pick"});
   locks::LockWorkload wl;
   wl.critical_work = critical;
@@ -103,11 +103,12 @@ int run(int argc, const char* const* argv) {
       const double acq = static_cast<double>(
           locks::LockProgramBase::acquisitions(st, kind));
       const auto shares = locks::LockProgramBase::acquisition_shares(st, kind);
+      const double per_kcycle =
+          acq * 1000.0 / static_cast<double>(st.measured_cycles);
       lock_table.add_row(
-          {Table::num(std::size_t{n}), name,
-           Table::num(acq * 1000.0 / static_cast<double>(st.measured_cycles),
-                      3),
+          {Table::num(std::size_t{n}), name, Table::num(per_kcycle, 3),
            Table::num(jain_fairness(shares), 3),
+           Table::num(per_kcycle * cfg.freq_ghz, 3),
            Table::num(advisor_mops(name), 3), advice.recommended});
     };
     measure([&] { return locks::TasLockProgram(wl); }, locks::LockKind::kTas,

@@ -251,17 +251,30 @@ inline std::vector<std::uint32_t> default_thread_sweep(std::uint32_t max) {
   return sweep;
 }
 
-/// Thread sweep from --threads, falling back to the default.
+/// Thread sweep from --threads, or the default one when it is not given.
+/// Throws std::invalid_argument for a count outside [1, @p max].
 inline std::vector<std::uint32_t> thread_sweep(const CliParser& cli,
                                                std::uint32_t max) {
   if (!cli.has("threads")) return default_thread_sweep(max);
   std::vector<std::uint32_t> sweep;
   for (auto v : cli.get_int_list("threads")) {
-    if (v >= 1 && static_cast<std::uint32_t>(v) <= max) {
-      sweep.push_back(static_cast<std::uint32_t>(v));
+    if (v < 1 || v > static_cast<std::int64_t>(max)) {
+      throw std::invalid_argument("--threads: " + std::to_string(v) +
+                                  " is outside [1, " + std::to_string(max) +
+                                  "] on this machine");
     }
+    sweep.push_back(static_cast<std::uint32_t>(v));
   }
-  return sweep.empty() ? default_thread_sweep(max) : sweep;
+  return sweep;
+}
+
+/// The primitive the flag @p name names. Throws std::invalid_argument for a
+/// value that names none.
+inline Primitive primitive_flag(const CliParser& cli, const std::string& name) {
+  const std::string value = cli.get(name);
+  if (const auto prim = parse_primitive(value)) return *prim;
+  throw std::invalid_argument("--" + name + ": '" + value +
+                              "' names no primitive");
 }
 
 /// The command that re-executes sweep point @p index in isolation: the

@@ -133,6 +133,10 @@ constexpr std::uint32_t mul(std::uint32_t rd, std::uint32_t rs1,
   return enc_r(1, rs2, rs1, 0, rd, 0x33);
 }
 constexpr std::uint32_t fence() { return enc_i(0, 0, 0, 0, 0x0f); }
+/// csrrs rd, instret, x0.
+constexpr std::uint32_t rdinstret(std::uint32_t rd) {
+  return enc_i(0xC02, 0, 2, rd, 0x73);
+}
 constexpr std::uint32_t ecall() { return 0x00000073u; }
 constexpr std::uint32_t ebreak() { return 0x00100073u; }
 

@@ -46,27 +46,6 @@ bool counter_csr(std::int32_t csr) {
 
 }  // namespace
 
-bool is_atomic_or_fence(Op op) noexcept {
-  switch (op) {
-    case Op::kFence:
-    case Op::kLrW:
-    case Op::kScW:
-    case Op::kAmoSwapW:
-    case Op::kAmoAddW:
-    case Op::kAmoXorW:
-    case Op::kAmoAndW:
-    case Op::kAmoOrW:
-    case Op::kAmoMinW:
-    case Op::kAmoMaxW:
-    case Op::kAmoMinuW:
-    case Op::kAmoMaxuW:
-    case Op::kAmoCasW:
-      return true;
-    default:
-      return false;
-  }
-}
-
 GuestOp decode_rv32(std::uint32_t insn) {
   GuestOp d;
   // Preserve the raw word for illegal-instruction diagnostics.

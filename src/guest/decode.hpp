@@ -38,8 +38,11 @@ enum class Op : std::uint8_t {
 };
 
 /// True for the ops the simulator models (everything the guest lowers onto
-/// the machine: LR/SC, AMOs, CAS, fences).
-bool is_atomic_or_fence(Op op) noexcept;
+/// the machine: LR/SC, AMOs, CAS, fences). Inline: the interpreter asks it
+/// of every instruction.
+constexpr bool is_atomic_or_fence(Op op) noexcept {
+  return op == Op::kFence || (op >= Op::kLrW && op <= Op::kAmoCasW);
+}
 
 struct GuestOp {
   Op op = Op::kIllegal;

@@ -1,5 +1,7 @@
 #include "guest/program.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "common/random.hpp"
@@ -18,6 +20,9 @@ constexpr std::uint32_t kSysBrk = 214;
 constexpr std::uint32_t kEnosys = static_cast<std::uint32_t>(-38);
 constexpr std::uint32_t kEfault = static_cast<std::uint32_t>(-14);
 constexpr std::uint32_t kEbadf = static_cast<std::uint32_t>(-9);
+
+/// No spin snapshot: pcs are even, so an odd value never matches one.
+constexpr std::uint32_t kNoLoop = 1;
 
 std::uint32_t mulh_signed(std::uint32_t a, std::uint32_t b) {
   const std::int64_t p = static_cast<std::int64_t>(static_cast<std::int32_t>(a)) *
@@ -181,6 +186,31 @@ std::optional<sim::IssueRequest> GuestProgram::next_op(sim::CoreId core,
     return r;
   };
 
+  // Spin fast-forward (the livelock note in program.hpp). `loop_pc` is where
+  // the last taken backward jump landed, or kNoLoop once a plain store, CSR
+  // read, ecall or local sc.w failure followed it, and `loop_instret` is the
+  // retired count there. `written` marks the registers written since (x0's
+  // bit stays set: x0 never changes), and h.x_at_jump holds their values at
+  // that jump.
+  std::uint32_t loop_pc = kNoLoop;
+  std::uint64_t loop_instret = 0;
+  std::uint32_t written = 1;
+  const auto wr = [&](std::uint8_t rd, std::uint32_t v) {
+    const std::uint32_t bit = 1u << rd;
+    if ((written & bit) == 0) {
+      written |= bit;
+      h.x_at_jump[rd] = h.x[rd];
+    }
+    if (rd != 0) h.x[rd] = v;
+  };
+  const auto registers_unchanged = [&] {
+    for (std::uint32_t m = written & ~1u; m != 0; m &= m - 1) {
+      const int r = std::countr_zero(m);
+      if (h.x[r] != h.x_at_jump[r]) return false;
+    }
+    return true;
+  };
+
   for (;;) {
     if (total_instret_ >= config_.max_instructions) {
       fail(errc::kInstructionBudget,
@@ -198,13 +228,11 @@ std::optional<sim::IssueRequest> GuestProgram::next_op(sim::CoreId core,
                                 std::to_string(h.pc));
       return std::nullopt;
     }
-    const GuestOp& op = text_[(h.pc - image_.text_base) >> 2];
+    const std::uint32_t pc = h.pc;
+    const GuestOp& op = text_[(pc - image_.text_base) >> 2];
     ++total_instret_;
     ++reports_[core].instructions;
 
-    const auto wr = [&h](std::uint8_t rd, std::uint32_t v) {
-      if (rd != 0) h.x[rd] = v;
-    };
     const std::uint32_t rs1 = h.x[op.rs1];
     const std::uint32_t rs2 = h.x[op.rs2];
 
@@ -250,6 +278,7 @@ std::optional<sim::IssueRequest> GuestProgram::next_op(sim::CoreId core,
             ++reports_[core].sc_failures;
             h.pc += 4;
             ++work;
+            loop_pc = kNoLoop;
             break;
           }
           h.pending = Hart::Pending::kSc;
@@ -350,18 +379,21 @@ std::optional<sim::IssueRequest> GuestProgram::next_op(sim::CoreId core,
         const std::uint32_t addr = rs1 + static_cast<std::uint32_t>(op.imm);
         image_.mem.store8(addr, rs2);
         break_reservations(core, line_of(addr));
+        loop_pc = kNoLoop;
         break;
       }
       case Op::kSh: {
         const std::uint32_t addr = rs1 + static_cast<std::uint32_t>(op.imm);
         image_.mem.store16(addr, rs2);
         break_reservations(core, line_of(addr));
+        loop_pc = kNoLoop;
         break;
       }
       case Op::kSw: {
         const std::uint32_t addr = rs1 + static_cast<std::uint32_t>(op.imm);
         image_.mem.store32(addr, rs2);
         break_reservations(core, line_of(addr));
+        loop_pc = kNoLoop;
         break;
       }
       case Op::kAddi: wr(op.rd, rs1 + static_cast<std::uint32_t>(op.imm)); break;
@@ -427,9 +459,11 @@ std::optional<sim::IssueRequest> GuestProgram::next_op(sim::CoreId core,
         const std::uint64_t v = total_instret_;
         const bool high = (op.imm & 0x80) != 0;
         wr(op.rd, static_cast<std::uint32_t>(high ? v >> 32 : v));
+        loop_pc = kNoLoop;
         break;
       }
       case Op::kEcall:
+        loop_pc = kNoLoop;
         if (!do_syscall(core, h)) {
           // Hart finished: price the tail work so completion time covers
           // every retired instruction.
@@ -461,6 +495,24 @@ std::optional<sim::IssueRequest> GuestProgram::next_op(sim::CoreId core,
     if (work >= config_.slice_instructions) {
       ++reports_[core].yields;
       return yield_request(Hart::Pending::kYield);
+    }
+    if (h.pc <= pc) {  // a taken backward jump
+      if (h.pc == loop_pc && registers_unchanged()) {
+        // The pass since the last backward jump left the registers and
+        // memory as it found them, so it repeats exactly: retire as many
+        // more passes as fit before the slice yield and the instruction
+        // budget.
+        const std::uint64_t len = total_instret_ - loop_instret;
+        const std::uint64_t skipped =
+            len * std::min((config_.slice_instructions - 1 - work) / len,
+                           (config_.max_instructions - total_instret_) / len);
+        total_instret_ += skipped;
+        reports_[core].instructions += skipped;
+        work += skipped;
+      }
+      loop_pc = h.pc;
+      loop_instret = total_instret_;
+      written = 1;
     }
   }
 }

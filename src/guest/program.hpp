@@ -32,6 +32,18 @@
 // and letting the other harts' interpretation (and thus their plain
 // stores) proceed. The yield is both the timing model for spin traffic and
 // the scheduling fairness mechanism.
+//
+// Because nothing else runs inside one next_op() call, guest memory changes
+// there only through this hart's own stores. So when a taken backward jump
+// lands where the previous one did, with no plain store, CSR read, ecall or
+// local sc.w failure in between and every register written since holding
+// its old value, the pass just retired is a fixed point: the next pass
+// repeats it exactly. The interpreter then retires as many whole passes as
+// fit before the slice yield and the instruction budget in one step, so
+// every count, every yield with its work_before and any instruction_budget
+// error fall where executing each pass would put them.
+//
+// Completion cycles are the machine's clock when run() returns (runner.hpp).
 #pragma once
 
 #include <array>
@@ -101,6 +113,10 @@ class GuestProgram final : public sim::ThreadProgram {
     std::uint32_t pending_expected = 0;  ///< amocas.w only
     /// LR reservation: the line of the last lr.w, or none.
     std::optional<sim::LineId> reservation;
+    /// Spin fast-forward scratch of the next_op() call in progress: each
+    /// register's value at the last taken backward jump, for the registers
+    /// that call has marked written since.
+    std::array<std::uint32_t, 32> x_at_jump{};
   };
 
   static sim::LineId line_of(std::uint32_t addr) noexcept {

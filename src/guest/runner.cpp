@@ -66,8 +66,7 @@ GuestRunResult run_guest(const std::uint8_t* elf, std::size_t len,
   // instruction budget). progress_events catches event-storm livelock.
   machine.set_watchdog(
       sim::WatchdogConfig{config.max_cycles * 2, 10'000'000});
-  TimekeeperSink timekeeper(config.trace);
-  machine.set_sink(&timekeeper);
+  machine.set_sink(config.trace);
 
   try {
     out.stats = machine.run(program, config.harts, /*warmup=*/0,
@@ -81,7 +80,7 @@ GuestRunResult run_guest(const std::uint8_t* elf, std::size_t len,
     return out;
   }
 
-  out.completion_cycles = timekeeper.last_time();
+  out.completion_cycles = machine.now();
   out.hart_reports = program.harts();
   out.stdout_bytes = program.stdout_bytes();
   out.total_instructions = program.total_instructions();

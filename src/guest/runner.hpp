@@ -1,11 +1,10 @@
 // The guest run driver: ELF bytes in, modeled contention profile out.
 //
 // Wires a GuestProgram onto a sim::Machine built from a preset spec
-// ("sim:xeon", "sim:knl:tso", "sim:test"), arms the watchdog, and measures
-// completion time with a forwarding TraceSink — the machine's clock is
-// private, but every retirement emits a timestamped trace event, so the
-// maximum event time IS the guest's completion cycle count (deterministic:
-// the discrete-event loop is single-threaded).
+// ("sim:xeon", "sim:knl:tso", "sim:test"), arms the watchdog, and reads
+// completion time from the machine's clock when run() returns: the last
+// event the single-threaded discrete-event loop dispatched is the guest's
+// last retirement, so that clock IS the completion cycle count.
 #pragma once
 
 #include <cstddef>
@@ -22,31 +21,6 @@
 #include "sim/sim_stats.hpp"
 
 namespace am::guest {
-
-/// Records the latest simulator event time while forwarding to an optional
-/// inner sink. Attached to every guest run (the cost is one branch per
-/// event), so completion cycles are always measured.
-class TimekeeperSink final : public obs::TraceSink {
- public:
-  explicit TimekeeperSink(obs::TraceSink* inner = nullptr) : inner_(inner) {}
-
-  void on_run_begin(const obs::TraceRunInfo& info) override {
-    if (inner_ != nullptr) inner_->on_run_begin(info);
-  }
-  void on_event(const obs::TraceEvent& event) override {
-    if (event.time > last_time_) last_time_ = event.time;
-    if (inner_ != nullptr) inner_->on_event(event);
-  }
-  void on_run_end() override {
-    if (inner_ != nullptr) inner_->on_run_end();
-  }
-
-  std::uint64_t last_time() const noexcept { return last_time_; }
-
- private:
-  obs::TraceSink* inner_;
-  std::uint64_t last_time_ = 0;
-};
 
 struct GuestRunConfig {
   /// Backend spec: "sim:xeon", "sim:knl", "sim:test", each optionally

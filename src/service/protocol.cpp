@@ -98,6 +98,12 @@ struct Fields {
       fail(std::string(key) + " must be a non-negative integer");
       return def;
     }
+    // 2^64 and above (infinity included) have no uint64_t value, and the
+    // cast below would be undefined behaviour.
+    if (v->as_number() >= 0x1p64) {
+      fail(std::string(key) + " out of range");
+      return def;
+    }
     const auto x = static_cast<std::uint64_t>(v->as_number());
     if (x < lo || x > hi) {
       fail(std::string(key) + " out of range");

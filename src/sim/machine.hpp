@@ -104,6 +104,9 @@ class Machine {
   const MachineConfig& config() const noexcept { return config_; }
   const Interconnect& interconnect() const noexcept { return *interconnect_; }
   CoreId core_count() const noexcept { return cores_; }
+  /// Simulated time of the event dispatched last. Once run() returns, that
+  /// is the run's final event: the cycle its last operation retired.
+  Cycles now() const noexcept { return now_; }
 
   /// Forces a line into a given coherence state before a run — used by the
   /// state-conditioned latency probes (Table 2). @p owner is the core

@@ -282,6 +282,175 @@ TEST(GuestInterp, SliceYieldsKeepPlainSpinLoopsLive) {
   EXPECT_EQ(r.hart_reports[1].exit_code, 0u);
 }
 
+// --- spin loops --------------------------------------------------------------
+// Hart 0 spins on a plain load of a flag at 0x20000; hart 1 stores the flag
+// and exits. Both harts fetch at cycle 0 and core 0 goes first, so hart 0
+// runs one full slice (its instructions #1..#1024) and yields before hart 1
+// runs at all; it sees the flag in its second slice. Every expected count
+// below follows from the program text and that order; they hold whether the
+// interpreter executes every repeated pass or skips them.
+
+constexpr std::uint32_t kSpinHead = 2;  ///< word index of the spin loop
+
+/// Word offset from word @p from to word @p to, in bytes.
+constexpr std::int32_t off(std::uint32_t from, std::uint32_t to) {
+  return (static_cast<std::int32_t>(to) - static_cast<std::int32_t>(from)) * 4;
+}
+
+/// lui t0 (the flag), then hart 0 falls into @p spin (starting at word
+/// kSpinHead) and hart 1 stores 1 into the flag and exits 0.
+std::vector<std::uint32_t> flag_spin(const std::vector<std::uint32_t>& spin) {
+  const auto publisher = static_cast<std::uint32_t>(kSpinHead + spin.size());
+  std::vector<std::uint32_t> prog = {
+      lui(t0, 0x20000),
+      bne(a0, x0, off(1, publisher)),
+  };
+  append(&prog, spin);
+  append(&prog, {
+      addi(t1, x0, 1),
+      sw(t1, 0, t0),
+      addi(a0, x0, 0),
+  });
+  append(&prog, exit_with_a0());
+  return prog;
+}
+
+GuestRunResult run_flag_spin(const std::vector<std::uint32_t>& spin) {
+  GuestRunConfig config;
+  config.harts = 2;
+  return run_words(flag_spin(spin), {}, config);
+}
+
+TEST(GuestInterp, ThreeInstructionSpinYieldsMidPass) {
+  // #1 lui, #2 bne, then 3-instruction passes from #3: 1024 = 3*341 + 1, so
+  // the slice ends after the addi of pass 341, whose lw read 0. The second
+  // slice: beq (taken), lw (1), addi (t2 = 3), beq, then the 3-word exit.
+  const GuestRunResult r = run_flag_spin({
+      lw(t1, 0, t0),
+      addi(t2, t1, 2),
+      beq(t1, x0, off(4, kSpinHead)),
+      addi(a0, t2, 0),
+      addi(a7, x0, 93),
+      ecall(),
+  });
+  ASSERT_TRUE(r.error.ok()) << r.error.code << ": " << r.error.message;
+  EXPECT_EQ(r.hart_reports[0].exit_code, 3u);
+  EXPECT_EQ(r.hart_reports[0].instructions, 1024u + 7u);
+  EXPECT_EQ(r.hart_reports[0].yields, 1u);
+  EXPECT_EQ(r.hart_reports[1].instructions, 7u);
+  EXPECT_EQ(r.total_instructions, 1038u);
+}
+
+TEST(GuestInterp, SpinReadingInstretIsNotSkipped) {
+  // The pass length depends on the parity of the rdinstret value: 7 when
+  // even, 11 when odd. Both are odd, so consecutive passes alternate and the
+  // registers still match at every loop head (t3 is cleared). Passes pair up
+  // into 18 instructions from #3; 1024 - 3 = 18*56 + 13 puts the slice end
+  // at offset 6 of the odd pass that starts at #1018 (word 8). The second
+  // slice finishes that pass (4 words, the beq taken), runs one odd pass
+  // that sees the flag (11), then rdinstret a0 (global count 1047, hart 1's
+  // 7 included) and the exit.
+  const GuestRunResult r = run_flag_spin({
+      lw(t1, 0, t0),                   // 2
+      rdinstret(t3),                   // 3
+      andi(t3, t3, 1),                 // 4
+      beq(t3, x0, off(5, 10)),         // 5: even skips words 6..9
+      addi(t4, x0, 0),                 // 6
+      addi(t4, x0, 0),                 // 7
+      addi(t4, x0, 0),                 // 8
+      addi(t4, x0, 0),                 // 9
+      addi(t4, x0, 0),                 // 10
+      andi(t3, t3, 0),                 // 11
+      beq(t1, x0, off(12, kSpinHead)), // 12
+      rdinstret(a0),                   // 13
+      addi(a7, x0, 93),
+      ecall(),
+  });
+  ASSERT_TRUE(r.error.ok()) << r.error.code << ": " << r.error.message;
+  EXPECT_EQ(r.hart_reports[0].instructions, 1024u + 4u + 11u + 3u);
+  EXPECT_EQ(r.hart_reports[0].exit_code, 1047u);
+  EXPECT_EQ(r.hart_reports[0].yields, 1u);
+  EXPECT_EQ(r.total_instructions, 1049u);
+}
+
+TEST(GuestInterp, SpinStoringWhatItLoadedIsNotSkipped) {
+  // Each 5-instruction pass loads a counter at 0x20004, stores it back plus
+  // one, and leaves the same registers behind (t1 ends as the flag). From
+  // #3, 1024 - 3 = 5*204 + 1: the slice ends after the addi of pass 205,
+  // with 204 increments stored. The second slice stores the 205th, sees the
+  // flag and exits with the counter.
+  const GuestRunResult r = run_flag_spin({
+      lw(t1, 4, t0),
+      addi(t1, t1, 1),
+      sw(t1, 4, t0),
+      lw(t1, 0, t0),
+      beq(t1, x0, off(6, kSpinHead)),
+      lw(a0, 4, t0),
+      addi(a7, x0, 93),
+      ecall(),
+  });
+  ASSERT_TRUE(r.error.ok()) << r.error.code << ": " << r.error.message;
+  EXPECT_EQ(r.hart_reports[0].exit_code, 205u);
+  EXPECT_EQ(r.hart_reports[0].instructions, 1024u + 6u);
+  EXPECT_EQ(r.hart_reports[0].yields, 1u);
+}
+
+TEST(GuestInterp, SpinWithFailingScIsNotSkipped) {
+  // Hart 0 holds no reservation, so each pass's sc.w fails locally (t3 = 1,
+  // one sc failure). 1024 - 3 = 3*340 + 1: the slice ends after the lw of
+  // pass 341, and the second slice runs the beq and one more pass: 342
+  // failures, each counted.
+  const GuestRunResult r = run_flag_spin({
+      sc_w(t3, x0, t0),
+      lw(t1, 0, t0),
+      beq(t1, x0, off(4, kSpinHead)),
+      addi(a0, t3, 0),
+      addi(a7, x0, 93),
+      ecall(),
+  });
+  ASSERT_TRUE(r.error.ok()) << r.error.code << ": " << r.error.message;
+  EXPECT_EQ(r.hart_reports[0].exit_code, 1u);
+  EXPECT_EQ(r.hart_reports[0].sc_failures, 342u);
+  EXPECT_EQ(r.hart_reports[0].instructions, 1024u + 7u);
+}
+
+TEST(GuestInterp, SpinMakingASyscallIsNotSkipped) {
+  // Each 7-instruction pass writes one byte to stdout. 1024 - 3 = 7*145 + 6:
+  // the slice ends on the beq of pass 146, and the second slice runs pass
+  // 147, which sees the flag: 147 bytes, and exit(1) with write's count.
+  const GuestRunResult r = run_flag_spin({
+      addi(a0, x0, 1),   // fd
+      addi(a1, t0, 4),   // buf: a zero byte
+      addi(a2, x0, 1),   // len
+      addi(a7, x0, 64),  // write
+      ecall(),
+      lw(t1, 0, t0),
+      beq(t1, x0, off(8, kSpinHead)),
+      addi(a7, x0, 93),
+      ecall(),
+  });
+  ASSERT_TRUE(r.error.ok()) << r.error.code << ": " << r.error.message;
+  EXPECT_EQ(r.stdout_bytes, std::string(147, '\0'));
+  EXPECT_EQ(r.hart_reports[0].exit_code, 1u);
+  EXPECT_EQ(r.hart_reports[0].instructions, 1024u + 7u + 2u);
+}
+
+TEST(GuestInterp, SpinTripsInstructionBudgetOnItsLastInstruction) {
+  // Nothing ever stores the flag. Every slice is 1024 instructions; the
+  // budget of 10,001 ends the run inside the tenth slice, after 9 yields,
+  // with exactly the budget retired.
+  GuestRunConfig config;
+  config.guest.max_instructions = 10'001;
+  const GuestRunResult r = run_words(
+      {lui(t0, 0x20000), lw(t1, 0, t0), beq(t1, x0, -4)}, {}, config);
+  EXPECT_EQ(r.error.code, errc::kInstructionBudget);
+  EXPECT_EQ(r.error.message, "guest exceeded 10001 instructions");
+  EXPECT_EQ(r.total_instructions, 10'001u);
+  ASSERT_EQ(r.hart_reports.size(), 1u);
+  EXPECT_EQ(r.hart_reports[0].instructions, 10'001u);
+  EXPECT_EQ(r.hart_reports[0].yields, 9u);
+}
+
 TEST(GuestInterp, BadBackendAndBadHartsAreStructured) {
   const std::vector<std::uint8_t> elf = corpus::build("faa_counter");
   GuestRunConfig config;

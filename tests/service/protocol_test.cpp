@@ -86,6 +86,28 @@ TEST(Protocol, RejectsMalformedRequests) {
       &error));
 }
 
+TEST(Protocol, RejectsSeedsPastUint64) {
+  // A double at or past 2^64 has no uint64_t value: each of these is refused
+  // with the range error, never served as some other seed. 2^64 - 1 rounds
+  // to 2^64 on its way through the double.
+  for (const char* seed :
+       {"1e300", "18446744073709551616", "18446744073709551615"}) {
+    for (const std::string head :
+         {R"({"kind":"simulate","machine":"test","prim":"FAA","threads":4,)",
+          R"({"kind":"run_guest","machine":"test","harts":1,"elf":"AAAA",)"}) {
+      const std::string line = head + R"("seed":)" + seed + "}";
+      std::string error;
+      EXPECT_FALSE(parse_request(line, &error)) << line;
+      EXPECT_NE(error.find("seed out of range"), std::string::npos)
+          << line << " -> " << error;
+    }
+  }
+  // The largest seed the double still holds exactly below 2^64 is served.
+  EXPECT_EQ(must_parse(R"({"kind":"simulate","seed":18446744073709549568})")
+                .point.seed,
+            18446744073709549568u);
+}
+
 TEST(Canonical, InsensitiveToOrderWhitespaceAndNumberSpelling) {
   const Request a = must_parse(
       R"({"kind":"predict","machine":"xeon","mode":"shared","prim":"FAA","threads":16,"work":100})");
