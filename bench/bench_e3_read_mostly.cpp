@@ -28,8 +28,8 @@ int run(int argc, const char* const* argv) {
   Table table({"machine", "threads", "write %", "measured ops/kcy",
                "model ops/kcy", "invalidations/op"});
 
-  for (std::uint32_t n : {8u, 16u, 32u}) {
-    if (n > backend->max_threads()) continue;
+  for (std::uint32_t n : bench_util::fixed_thread_counts(
+           {8u, 16u, 32u}, backend->max_threads())) {
     for (double f : {0.0, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0}) {
       bench::WorkloadConfig w;
       w.mode = bench::WorkloadMode::kMixedReadWrite;

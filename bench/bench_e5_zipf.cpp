@@ -33,8 +33,8 @@ int run(int argc, const char* const* argv) {
     std::size_t index;
   };
   std::vector<Point> points;
-  for (std::uint32_t n : {8u, 16u, 32u}) {
-    if (n > probe->max_threads()) continue;
+  for (std::uint32_t n :
+       bench_util::fixed_thread_counts({8u, 16u, 32u}, probe->max_threads())) {
     for (std::size_t lines : {std::size_t{16}, std::size_t{256}}) {
       for (double s : {0.0, 0.5, 0.8, 0.99, 1.2, 1.5, 2.0}) {
         bench::WorkloadConfig w;

@@ -29,11 +29,6 @@ int run(int argc, const char* const* argv) {
   Table table({"machine", "threads", "work (cy)", "w/w*", "measured ops/kcy",
                "model ops/kcy", "regime", "crossover w* (cy)"});
 
-  std::vector<std::uint32_t> thread_points;
-  for (std::uint32_t n : {8u, 16u, 32u, 64u}) {
-    if (n <= probe->max_threads()) thread_points.push_back(n);
-  }
-
   struct Point {
     std::uint32_t threads;
     bench::Cycles work;
@@ -42,7 +37,8 @@ int run(int argc, const char* const* argv) {
     std::size_t index;
   };
   std::vector<Point> points;
-  for (std::uint32_t n : thread_points) {
+  for (std::uint32_t n : bench_util::fixed_thread_counts(
+           {8u, 16u, 32u, 64u}, probe->max_threads())) {
     const double wstar = model.crossover_work(prim, n);
     for (double frac : {0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0}) {
       const auto work = static_cast<bench::Cycles>(frac * wstar);

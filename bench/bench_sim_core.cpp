@@ -8,10 +8,11 @@
 // mixes differ structurally (single hot line, CAS retry storms, per-core
 // lines, sharded groups, read-mostly broadcasts).
 //
-// The frozen seed core (sim::legacy::Machine) runs the identical point list
-// in the same process, so the reported speedup is a property of the rewrite
-// alone, not of the host. scripts/check_sim_core_perf.py compares the JSON
-// emitted here against the committed BENCH_sim_core.json baseline in CI.
+// Raw points/sec is a property of the host, so no absolute figure is gated.
+// CI runs this binary alternately with the same binary built at the merge
+// base (scripts/ab_pairs.py) and gates the per-pair ratio. Each preset's
+// work digest must equal a pinned constant (exit 2 otherwise), so a timing
+// never describes different work.
 //
 // Usage: bench_sim_core [--reps N] [--json-out PATH] [--scale N]
 #include <algorithm>
@@ -27,7 +28,6 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/config.hpp"
-#include "sim/legacy_machine.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
 
@@ -72,8 +72,8 @@ std::unique_ptr<sim::ThreadProgram> mixed_rw() {
 /// points/sec reflects the real mix of event densities (a low-contention
 /// window simulates ~50x more events than a serialized hot-line window of
 /// the same simulated length). 100k cycles keeps one rep long enough that
-/// the event loop dominates construction and short enough for a best-of-3
-/// CI gate.
+/// the event loop dominates construction and short enough for many
+/// alternating runs in one CI step.
 const Point kPoints[] = {
     {"hc_faa_t4", 11, 4, 1'000, 100'000, hc_faa},
     {"hc_faa_tmax", 12, 0, 1'000, 100'000, hc_faa},
@@ -85,12 +85,25 @@ const Point kPoints[] = {
     {"mixed_rw_tmax", 18, 0, 1'000, 100'000, mixed_rw},
 };
 
-/// One uncached point on machine type M: cold construction + one run.
-/// Returns a digest folded from the run so the work cannot be elided and
-/// fast/legacy agreement can be asserted.
-template <class M>
+/// Work digest of the whole point list per preset, read at scale 1 and 2
+/// from both the fast core and the seed core before the seed core was
+/// retired. A change that moves one changes simulated behaviour, which the
+/// golden corpus (tests/sim/core_equivalence_test.cpp) reports in detail.
+struct PinnedDigest {
+  const char* preset;
+  std::uint64_t digest;
+};
+constexpr PinnedDigest kPinnedDigests[] = {
+    {"xeon", 0x4928e706f448d992},
+    {"knl", 0x75753a199b1dad11},
+};
+
+constexpr std::uint64_t kFold = 1315423911u;
+
+/// One uncached point: cold construction + one run. Returns a digest folded
+/// from the run so the work cannot be elided and can be checked.
 std::uint64_t run_point(const sim::MachineConfig& cfg, const Point& p) {
-  M machine(cfg, p.seed);
+  sim::Machine machine(cfg, p.seed);
   const sim::CoreId threads =
       p.threads == 0 ? machine.core_count()
                      : std::min<sim::CoreId>(p.threads, machine.core_count());
@@ -98,90 +111,75 @@ std::uint64_t run_point(const sim::MachineConfig& cfg, const Point& p) {
   const sim::RunStats rs = machine.run(*prog, threads, p.warmup, p.measure);
   std::uint64_t digest = 0;
   for (const sim::ThreadStats& t : rs.threads) {
-    digest = digest * 1315423911u + t.ops * 3u + t.attempts * 5u +
+    digest = digest * kFold + t.ops * 3u + t.attempts * 5u +
              t.wait_cycles * 7u;
   }
   return digest;
 }
 
 /// Runs the whole point list once, recording per-point wall seconds into
-/// @p secs (indexed like kPoints). Returns the digest over all points.
-template <class M>
+/// @p secs (indexed like kPoints). Returns the digest over all points: each
+/// point's digest folded once, in list order. A repeat that redoes the
+/// first run's work leaves the fold as it is, so the value does not depend
+/// on @p scale; one that differs is folded in as well.
 std::uint64_t run_list(const sim::MachineConfig& cfg, int scale,
                        double* secs) {
   std::uint64_t digest = 0;
   for (std::size_t i = 0; i < std::size(kPoints); ++i) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (int s = 0; s < scale; ++s) {
-      digest ^= run_point<M>(cfg, kPoints[i]);
+    std::uint64_t point = run_point(cfg, kPoints[i]);
+    for (int s = 1; s < scale; ++s) {
+      const std::uint64_t again = run_point(cfg, kPoints[i]);
+      if (again != point) point = point * kFold + again;
     }
     secs[i] =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    digest = digest * kFold + point;
   }
   return digest;
 }
 
 struct PointResult {
   const char* name = nullptr;
-  double fast_ms = 0.0;    ///< best-of-reps wall ms (whole scale loop)
-  double legacy_ms = 0.0;
-  double speedup = 0.0;
+  double ms = 0.0;  ///< best-of-reps wall ms (whole scale loop)
 };
 
 struct PresetResult {
   std::string preset;
-  double fast = 0.0;    ///< points/sec, rewritten core (best of reps)
-  double legacy = 0.0;  ///< points/sec, frozen seed core (best of reps)
-  double speedup = 0.0;
+  double points_per_sec = 0.0;  ///< from the per-point bests
   std::vector<PointResult> points;
 };
 
-PresetResult bench_preset(const std::string& name, int reps, int scale) {
-  const sim::MachineConfig cfg = sim::preset_by_name(name);
+PresetResult bench_preset(const PinnedDigest& pin, int reps, int scale) {
+  const sim::MachineConfig cfg = sim::preset_by_name(pin.preset);
   constexpr std::size_t kN = std::size(kPoints);
   PresetResult r;
-  r.preset = name;
+  r.preset = pin.preset;
   r.points.resize(kN);
   for (std::size_t i = 0; i < kN; ++i) {
     r.points[i].name = kPoints[i].name;
-    r.points[i].fast_ms = std::numeric_limits<double>::infinity();
-    r.points[i].legacy_ms = std::numeric_limits<double>::infinity();
+    r.points[i].ms = std::numeric_limits<double>::infinity();
   }
-  std::uint64_t fast_digest = 0;
-  std::uint64_t legacy_digest = 0;
-  double fast_secs[kN];
-  double legacy_secs[kN];
-  // Interleave fast/legacy reps so thermal or scheduler drift hits both.
+  double secs[kN];
   for (int i = 0; i < reps; ++i) {
-    fast_digest = run_list<sim::Machine>(cfg, scale, fast_secs);
-    legacy_digest = run_list<sim::legacy::Machine>(cfg, scale, legacy_secs);
+    const std::uint64_t digest = run_list(cfg, scale, secs);
+    if (digest != pin.digest) {
+      // A cheap tripwire so a timing can never describe different work.
+      std::cerr << "FATAL: work digest 0x" << std::hex << digest
+                << " on preset " << pin.preset << " differs from the pinned 0x"
+                << pin.digest << std::dec << "\n";
+      std::exit(2);
+    }
     for (std::size_t p = 0; p < kN; ++p) {
-      r.points[p].fast_ms = std::min(r.points[p].fast_ms, fast_secs[p] * 1e3);
-      r.points[p].legacy_ms =
-          std::min(r.points[p].legacy_ms, legacy_secs[p] * 1e3);
+      r.points[p].ms = std::min(r.points[p].ms, secs[p] * 1e3);
     }
   }
   // Aggregate throughput from the per-point bests: sum of the best times is
-  // the fastest achievable sweep, and best-of per point is the standard
-  // noise-rejection for a CI gate.
-  double fast_total = 0.0;
-  double legacy_total = 0.0;
-  for (std::size_t p = 0; p < kN; ++p) {
-    r.points[p].speedup = r.points[p].legacy_ms / r.points[p].fast_ms;
-    fast_total += r.points[p].fast_ms;
-    legacy_total += r.points[p].legacy_ms;
-  }
-  r.fast = static_cast<double>(kN * scale) / (fast_total * 1e-3);
-  r.legacy = static_cast<double>(kN * scale) / (legacy_total * 1e-3);
-  if (fast_digest != legacy_digest) {
-    // The equivalence suite proves byte identity properly; this is a cheap
-    // tripwire so a perf run can never report a speedup over different work.
-    std::cerr << "FATAL: fast/legacy digest mismatch on preset " << name
-              << "\n";
-    std::exit(2);
-  }
-  r.speedup = r.fast / r.legacy;
+  // the fastest achievable sweep, and best-of per point rejects noise.
+  double total_ms = 0.0;
+  for (const PointResult& pt : r.points) total_ms += pt.ms;
+  r.points_per_sec = static_cast<double>(kN * scale) / (total_ms * 1e-3);
   return r;
 }
 
@@ -195,22 +193,18 @@ bool write_json(const std::string& path, const std::vector<PresetResult>& rs,
                 int reps, int scale) {
   std::ofstream out(path);
   if (!out) return false;
-  out << "{\n  \"schema\": \"am-bench-sim-core/1\",\n"
+  out << "{\n  \"schema\": \"am-bench-sim-core/2\",\n"
       << "  \"reps\": " << reps << ",\n  \"scale\": " << scale << ",\n"
       << "  \"points_per_rep\": " << std::size(kPoints) * scale << ",\n"
       << "  \"presets\": [\n";
   for (std::size_t i = 0; i < rs.size(); ++i) {
     const PresetResult& r = rs[i];
     out << "    {\"preset\": \"" << r.preset << "\", \"points_per_sec\": "
-        << json_escape_double(r.fast) << ", \"legacy_points_per_sec\": "
-        << json_escape_double(r.legacy) << ", \"speedup\": "
-        << json_escape_double(r.speedup) << ",\n     \"points\": [\n";
+        << json_escape_double(r.points_per_sec) << ",\n     \"points\": [\n";
     for (std::size_t p = 0; p < r.points.size(); ++p) {
       const PointResult& pt = r.points[p];
-      out << "       {\"name\": \"" << pt.name << "\", \"fast_ms\": "
-          << json_escape_double(pt.fast_ms) << ", \"legacy_ms\": "
-          << json_escape_double(pt.legacy_ms) << ", \"speedup\": "
-          << json_escape_double(pt.speedup) << "}"
+      out << "       {\"name\": \"" << pt.name
+          << "\", \"ms\": " << json_escape_double(pt.ms) << "}"
           << (p + 1 < r.points.size() ? "," : "") << "\n";
     }
     out << "     ]}" << (i + 1 < rs.size() ? "," : "") << "\n";
@@ -224,9 +218,7 @@ bool write_json(const std::string& path, const std::vector<PresetResult>& rs,
 
 int main(int argc, char** argv) {
   using namespace am;
-  CliParser cli(
-      "Simulator-core throughput: uncached sweep points per second, "
-      "rewritten core vs the frozen seed core");
+  CliParser cli("Simulator-core throughput: uncached sweep points per second");
   cli.add_flag("reps", "best-of repetitions per preset", "3",
                CliParser::FlagKind::kInt);
   cli.add_flag("scale", "point-list repetitions per rep (raises run length)",
@@ -238,26 +230,22 @@ int main(int argc, char** argv) {
   const int scale = std::max<int>(1, static_cast<int>(cli.get_int("scale")));
 
   std::vector<PresetResult> results;
-  for (const std::string preset : {"xeon", "knl"}) {
-    results.push_back(bench_preset(preset, reps, scale));
+  for (const PinnedDigest& pin : kPinnedDigests) {
+    results.push_back(bench_preset(pin, reps, scale));
   }
 
-  Table table({"preset", "points/s (fast)", "points/s (seed)", "speedup"});
+  Table table({"preset", "points/s"});
   for (const PresetResult& r : results) {
-    table.add_row({r.preset, json_escape_double(r.fast),
-                   json_escape_double(r.legacy),
-                   json_escape_double(r.speedup) + "x"});
+    table.add_row({r.preset, json_escape_double(r.points_per_sec)});
   }
   std::cout << "\n== simulator core throughput (best of " << reps
             << ", " << std::size(kPoints) * scale << " points/rep) ==\n"
             << table;
 
-  Table detail({"point", "preset", "fast ms", "seed ms", "speedup"});
+  Table detail({"point", "preset", "ms"});
   for (const PresetResult& r : results) {
     for (const PointResult& pt : r.points) {
-      detail.add_row({pt.name, r.preset, json_escape_double(pt.fast_ms),
-                      json_escape_double(pt.legacy_ms),
-                      json_escape_double(pt.speedup) + "x"});
+      detail.add_row({pt.name, r.preset, json_escape_double(pt.ms)});
     }
   }
   std::cout << "\n" << detail;

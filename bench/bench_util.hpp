@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -249,6 +250,19 @@ inline std::vector<std::uint32_t> default_thread_sweep(std::uint32_t max) {
   }
   if (sweep.empty() || sweep.back() != max) sweep.push_back(max);
   return sweep;
+}
+
+/// The counts of @p fixed that fit a machine of @p max threads, or just
+/// @p max when none does: a machine smaller than every fixed count runs the
+/// experiment at its own size instead of printing an empty table.
+inline std::vector<std::uint32_t> fixed_thread_counts(
+    std::initializer_list<std::uint32_t> fixed, std::uint32_t max) {
+  std::vector<std::uint32_t> counts;
+  for (std::uint32_t n : fixed) {
+    if (n <= max) counts.push_back(n);
+  }
+  if (counts.empty()) counts.push_back(max);
+  return counts;
 }
 
 /// Thread sweep from --threads, or the default one when it is not given.

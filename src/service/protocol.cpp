@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "bench_core/sweep.hpp"  // splitmix64
 #include "common/base64.hpp"
@@ -50,6 +53,19 @@ std::string upper(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::toupper(c); });
   return s;
+}
+
+/// A member name @p obj repeats, if any. JsonValue::find returns the first
+/// of equal names, so an object that repeats one is refused rather than read
+/// first-wins. Sorting keeps the scan O(n log n) on hostile input.
+std::optional<std::string_view> repeated_member(const JsonValue& obj) {
+  std::vector<std::string_view> names;
+  names.reserve(obj.members().size());
+  for (const auto& member : obj.members()) names.push_back(member.first);
+  std::sort(names.begin(), names.end());
+  const auto dup = std::adjacent_find(names.begin(), names.end());
+  if (dup == names.end()) return std::nullopt;
+  return *dup;
 }
 
 /// Field extraction with error accumulation; every getter appends to @p err
@@ -182,6 +198,11 @@ void parse_calibrate(Fields& f, CalibrateQuery& q) {
       f.fail("samples[" + std::to_string(i) + "] must be an object");
       continue;
     }
+    if (const auto dup = repeated_member(*s)) {
+      f.fail("samples[" + std::to_string(i) + "] has duplicate member '" +
+             std::string(*dup) + "'");
+      continue;
+    }
     Fields sf{*s, f.err};
     CalibrateSample out;
     out.mode = lower(sf.get_string("mode", "private"));
@@ -266,6 +287,9 @@ std::optional<Request> parse_request(std::string_view line,
   if (!doc.has_value()) return fail("malformed JSON: " + parse_err);
   if (doc->type() != JsonValue::Type::kObject) {
     return fail("request must be a JSON object");
+  }
+  if (const auto dup = repeated_member(*doc)) {
+    return fail("duplicate member '" + std::string(*dup) + "'");
   }
 
   std::string err;

@@ -22,10 +22,10 @@
 // intrusive array-node LRU, and op streams are decoded once per op (or once
 // per run, for programs exposing a StaticPlan) into a POD the event loop
 // replays without touching std::optional or virtual dispatch. All of it is
-// behaviour-preserving to the byte: tests/sim/core_equivalence_test.cpp
-// replays a corpus through this core and the frozen seed implementation
-// (sim/legacy_machine.hpp) and asserts identical stats, traces and final
-// state.
+// behaviour-preserving to the byte: the golden corpus captured from the
+// original seed core (tests/sim/core_equivalence_test.cpp), the trace
+// goldens and the litmus sets pin the stats, traces and final state, and a
+// change that moves them must re-bless them on purpose.
 #pragma once
 
 #include <algorithm>

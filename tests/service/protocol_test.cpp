@@ -4,6 +4,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/json.hpp"
 #include "common/sha256.hpp"
@@ -106,6 +107,34 @@ TEST(Protocol, RejectsSeedsPastUint64) {
   EXPECT_EQ(must_parse(R"({"kind":"simulate","seed":18446744073709549568})")
                 .point.seed,
             18446744073709549568u);
+}
+
+TEST(Protocol, RejectsDuplicateMembers) {
+  // A repeated member has no one value to serve: each of these is refused
+  // with an error naming the member, never read first-wins.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"kind":"simulate","threads":2,"threads":4})", "'threads'"},
+      {R"({"kind":"predict","prim":"FAA","machine":"knl","prim":"CAS"})",
+       "'prim'"},
+      {R"({"kind":"ping","kind":"stats"})", "'kind'"},
+      {R"({"kind":"ping","id":"a","id":"a"})", "'id'"},
+      {R"({"kind":"calibrate","machine":"test","samples":[)"
+       R"({"mode":"private","prim":"FAA","threads":1,"cycles_per_op":12},)"
+       R"({"mode":"shared","threads":2,"cycles_per_op":120,"threads":4}]})",
+       "samples[1] has duplicate member 'threads'"},
+  };
+  for (const auto& [line, named] : cases) {
+    std::string error;
+    EXPECT_FALSE(parse_request(line, &error)) << line;
+    EXPECT_NE(error.find("duplicate member"), std::string::npos)
+        << line << " -> " << error;
+    EXPECT_NE(error.find(named), std::string::npos) << line << " -> " << error;
+  }
+  // Equal names in different objects are not repeats.
+  must_parse(
+      R"({"kind":"calibrate","machine":"test","samples":[)"
+      R"({"mode":"private","prim":"FAA","threads":1,"cycles_per_op":12},)"
+      R"({"mode":"shared","prim":"FAA","threads":4,"cycles_per_op":130}]})");
 }
 
 TEST(Canonical, InsensitiveToOrderWhitespaceAndNumberSpelling) {

@@ -1,19 +1,16 @@
-// Differential byte-identity harness for the fast-path simulator core.
+// Byte-identity harness for the simulator core.
 //
-// Every case replays one deterministic workload through BOTH cores — the
-// live sim::Machine and the frozen seed implementation in
-// sim::legacy::Machine — and renders an exhaustive text digest of the run:
-// every RunStats field (doubles in hexfloat, so equality is bit equality),
-// the final directory state of every touched line, the per-core OpResult
-// streams, and the SimBackend cache-identity string. The suite asserts
-//   (a) new digest == legacy digest for every case (the differential
-//       proof: the rewrite changed the data layout, not the simulation),
-//   (b) the concatenated corpus == the committed golden snapshot captured
-//       from the seed core (the drift guard: the pair cannot wander off
-//       together; cached sweep results stay valid).
+// Every case replays one deterministic workload through sim::Machine and
+// renders an exhaustive text digest of the run: every RunStats field
+// (doubles in hexfloat, so equality is bit equality), the final directory
+// state of every touched line, the per-core OpResult streams, and the
+// SimBackend cache-identity string. The concatenated corpus must equal the
+// committed golden snapshot byte for byte. The snapshot was first captured
+// from the seed core, so a core that matches it behaves exactly as the seed
+// did, and cached sweep results stay valid.
 // Deliberate behaviour changes are re-blessed with
 // scripts/regen_golden_traces.sh (AM_REGEN_GOLDEN=1), which rewrites the
-// corpus files alongside the text traces.
+// corpus files alongside the text traces from sim::Machine.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -28,7 +25,6 @@
 #include "bench_core/sim_backend.hpp"
 #include "conformance/generator.hpp"
 #include "sim/config.hpp"
-#include "sim/legacy_machine.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
 
@@ -105,9 +101,7 @@ void digest_stats(std::ostringstream& os, const sim::RunStats& rs) {
 }
 
 /// Final machine state: every touched line's directory record, ascending.
-/// Works on either core (identical public surface).
-template <class M>
-void digest_state(std::ostringstream& os, const M& m) {
+void digest_state(std::ostringstream& os, const sim::Machine& m) {
   for (const sim::LineId id : m.touched_lines()) {
     const auto snap = m.snapshot_line(id);
     os << "line[" << id << "] owner=";
@@ -135,11 +129,10 @@ struct CaseSpec {
   sim::Cycles epoch_cycles = 0;
 };
 
-/// Runs one case on machine type M and renders the full digest.
-template <class M>
+/// Runs one case and renders the full digest.
 std::string run_case(const sim::MachineConfig& config, std::uint64_t seed,
                      const CaseSpec& spec) {
-  M machine(config, seed);
+  sim::Machine machine(config, seed);
   machine.set_line_profiling(spec.profile_lines);
   machine.set_epoch_cycles(spec.epoch_cycles);
   std::unique_ptr<sim::ThreadProgram> program = spec.make_program();
@@ -300,12 +293,11 @@ std::string identity_block(const sim::MachineConfig& config) {
   return "cache_identity=" + backend.cache_identity() + "\n";
 }
 
-template <class M>
 std::string corpus_digest(const sim::MachineConfig& config) {
   const Corpus corpus = build_corpus();
   std::string out = identity_block(config);
   for (const auto& [seed, spec] : corpus.cases) {
-    out += run_case<M>(config, seed, spec);
+    out += run_case(config, seed, spec);
   }
   return out;
 }
@@ -314,28 +306,12 @@ std::string corpus_digest(const sim::MachineConfig& config) {
 
 void check_preset(const sim::MachineConfig& config,
                   const std::string& golden_name) {
-  const Corpus corpus = build_corpus();
-
-  // (a) differential: new core vs frozen seed core, case by case so a
-  // divergence names its workload.
-  std::string combined = identity_block(config);
-  for (const auto& [seed, spec] : corpus.cases) {
-    const std::string fresh = run_case<sim::Machine>(config, seed, spec);
-    const std::string reference =
-        run_case<sim::legacy::Machine>(config, seed, spec);
-    ASSERT_EQ(fresh, reference)
-        << "fast-path core diverged from the seed core on case '" << spec.name
-        << "' (preset " << config.name << ", seed " << seed << ")";
-    combined += fresh;
-  }
-
-  // (b) golden snapshot captured from the seed core.
+  const std::string fresh = corpus_digest(config);
   const std::string path = std::string(AM_GOLDEN_DIR) + "/" + golden_name;
   if (std::getenv("AM_REGEN_GOLDEN") != nullptr) {
-    const std::string blessed = corpus_digest<sim::legacy::Machine>(config);
     std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(out.good()) << "cannot write golden " << path;
-    out << blessed;
+    out << fresh;
     GTEST_SKIP() << "golden corpus regenerated: " << path;
   }
 
@@ -345,7 +321,7 @@ void check_preset(const sim::MachineConfig& config,
       << " — run scripts/regen_golden_traces.sh to create it";
   std::ostringstream expected;
   expected << in.rdbuf();
-  EXPECT_EQ(combined, expected.str())
+  EXPECT_EQ(fresh, expected.str())
       << "run digest diverged from " << path
       << " — if the change is intentional, re-bless with "
          "scripts/regen_golden_traces.sh";

@@ -4,11 +4,8 @@
 // new machinery (fields stay zero, fingerprints stay byte-identical).
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "conformance/generator.hpp"
 #include "sim/config.hpp"
-#include "sim/legacy_machine.hpp"
 #include "sim/machine.hpp"
 
 namespace am::sim {
@@ -189,12 +186,6 @@ TEST(Tso, ScRunsKeepTsoCountersAtZero) {
   EXPECT_EQ(stats.store_buffer_drains, 0u);
   EXPECT_EQ(stats.fences, 0u);
   EXPECT_EQ(stats.energy.fence_j, 0.0);
-}
-
-TEST(Tso, LegacyMachineRejectsTso) {
-  MachineConfig cfg = test_machine(2);
-  cfg.memory_model = MemoryModel::kTso;
-  EXPECT_THROW(legacy::Machine m(cfg, 1), std::invalid_argument);
 }
 
 }  // namespace
