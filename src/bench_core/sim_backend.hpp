@@ -21,9 +21,8 @@ struct SimBackendOptions {
 };
 
 /// The cache_identity() string a SimBackend built from @p config/@p options
-/// would report, without constructing one. Lets the fleet's stale-serve
-/// path address the shared disk cache for a simulate request while the
-/// owning worker (which would normally build the backend) is down.
+/// would report, without constructing one. Lets a reader address the disk
+/// cache without building the backend (service::cached_simulate_result).
 inline std::string sim_backend_cache_identity(const sim::MachineConfig& config,
                                               const SimBackendOptions& options) {
   return "sim{" + config.fingerprint() +

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_core/backend.hpp"
+#include "bench_core/sweep_journal.hpp"
 
 namespace am::bench {
 
@@ -41,9 +42,8 @@ inline constexpr const char* kSweepCacheVersion = "am-sweep-cache/1";
 std::uint64_t splitmix64(std::uint64_t x) noexcept;
 
 /// Seed of sweep point @p index under @p base_seed. Never returns 0 (some
-/// PRNGs degenerate on an all-zero state). Out-of-process consumers of the
-/// disk cache (the fleet's stale-serve path) address entries a SweepEngine
-/// wrote with it.
+/// PRNGs degenerate on an all-zero state). The service runs a simulate
+/// request as point 0 under the request's seed.
 std::uint64_t point_seed(std::uint64_t base_seed, std::uint64_t index) noexcept;
 
 /// Validates the --jobs / --trace-out combination. A Chrome trace is one
@@ -88,6 +88,38 @@ struct FailedPoint {
   WorkloadConfig config;  ///< meaningful only when !is_task
 };
 
+/// Builds the backend for one point from its seed; must be thread-safe (the
+/// usual factory just calls make_backend(spec, seed)).
+using BackendFactory =
+    std::function<std::unique_ptr<ExecutionBackend>(std::uint64_t seed)>;
+
+/// Everything one point produced.
+struct PointRun {
+  PointStatus status = PointStatus::kOk;
+  std::string message;  ///< one-line failure description; empty when ok
+  MeasuredRun result;   ///< the measurement; meaningful when ok
+  /// The point's recorded runs (a reuse-tier hit records one too); empty
+  /// unless ok. SweepEngine flushes them into the run log at drain().
+  std::vector<RecordedRun> log;
+  bool from_cache = false;
+  bool from_journal = false;
+  std::uint64_t io_errors = 0;  ///< cache/journal I/O failures survived
+  bool quarantined = false;     ///< a bad cache file was moved aside
+};
+
+/// The one body of a sweep point, run by SweepEngine's pool workers and
+/// inline by the service's simulate. Serves the point from @p journal (null
+/// or unopened = none) or the disk result cache @p cache_dir ("" = none),
+/// quarantining a corrupt or mismatched cache file; otherwise runs it on
+/// factory(@p seed) and publishes the result to both (a lost write is
+/// counted, not fatal). Maps what the run throws to a PointStatus, never
+/// throws, never writes the process-wide run log, and counts the point in
+/// the am_sweep_* families.
+PointRun run_sweep_point(const BackendFactory& factory,
+                         const WorkloadConfig& config, std::uint64_t seed,
+                         const std::string& cache_dir,
+                         sweep::SweepJournal* journal);
+
 struct SweepOptions {
   /// Pool width. 0 = hardware_concurrency, 1 = serial (same seeds/results).
   unsigned jobs = 0;
@@ -108,10 +140,7 @@ struct SweepOptions {
 
 class SweepEngine {
  public:
-  /// Builds the backend for one point. Called on pool threads; must be
-  /// thread-safe (the usual factory just calls make_backend(spec, seed)).
-  using BackendFactory =
-      std::function<std::unique_ptr<ExecutionBackend>(std::uint64_t seed)>;
+  using BackendFactory = bench::BackendFactory;
 
   /// A free-form unit of pooled work (multi-run procedures like model
   /// calibration). The task creates its own backend, attaches @p log as its
@@ -182,9 +211,9 @@ class SweepEngine {
   struct Point;
   struct Impl;
 
+  std::size_t enqueue(std::unique_ptr<Point> p);
   void worker_loop();
-  void execute_point(Point& p);
-  void record_in_journal(const std::string& key, const MeasuredRun& run);
+  PointRun execute_point(const Point& p);
 
   BackendFactory factory_;
   SweepOptions options_;
@@ -192,7 +221,11 @@ class SweepEngine {
   std::unique_ptr<Impl> impl_;
 };
 
-// --- cache plumbing (exposed for tests) -------------------------------------
+// --- cache plumbing (exposed for tests and disk-tier readers) ---------------
+
+/// The file holding @p key's entry in the disk result cache @p cache_dir.
+std::string sweep_cache_path(const std::string& cache_dir,
+                             const std::string& key);
 
 /// Stable cache key for one point: sha256_hex(material, 16), 32 hex digits,
 /// where the material is cache version, backend identity, workload and seed.

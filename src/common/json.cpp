@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -386,6 +387,10 @@ class JsonParser {
     }
     out.type_ = JsonValue::Type::kNumber;
     out.number_ = v;
+    std::uint64_t exact = 0;
+    const char* const last = token.data() + token.size();
+    const auto [stop, ec] = std::from_chars(token.data(), last, exact);
+    if (ec == std::errc() && stop == last) out.uint_ = exact;
     return true;
   }
 

@@ -75,8 +75,9 @@ class JsonWriter {
   bool expecting_value_ = false; ///< a key was written, value pending
 };
 
-/// Parsed JSON document node. Numbers are stored as double (adequate for
-/// the counters in run reports: exact up to 2^53).
+/// Parsed JSON document node. Numbers are stored as double, which holds
+/// integers exactly only up to 2^53; a plain integer literal also keeps its
+/// exact value (as_uint).
 class JsonValue {
  public:
   enum class Type : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -90,6 +91,9 @@ class JsonValue {
   bool is_null() const noexcept { return type_ == Type::kNull; }
   bool as_bool() const noexcept { return bool_; }
   double as_number() const noexcept { return number_; }
+  /// The exact value of a number written as plain digits that fit a
+  /// uint64_t ("42"; not "42.0", "4.2e1" or "-0"); nullopt otherwise.
+  std::optional<std::uint64_t> as_uint() const noexcept { return uint_; }
   const std::string& as_string() const noexcept { return string_; }
   const std::vector<JsonValue>& items() const noexcept { return items_; }
   /// Object members in document order.
@@ -109,6 +113,7 @@ class JsonValue {
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
+  std::optional<std::uint64_t> uint_;
   std::string string_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;

@@ -17,9 +17,11 @@
 //                                   response from the router's LRU, else
 //                                   (simulate) the shared disk cache
 //   4. stale miss, all down      -> promotion (simulate + --sweep-cache):
-//                                   the front computes the point itself and
-//                                   its SweepEngine writes the shared disk
-//                                   entry, warming every recovering worker
+//                                   the front computes the point itself
+//                                   with service::run_simulate, the call a
+//                                   worker answers with, which writes the
+//                                   shared disk entry and so warms every
+//                                   recovering worker
 //   5. stale miss, someone full  -> structured `overloaded` (shed)
 //   6. stale miss, all down      -> structured `unavailable`
 // Admission is per-worker (Supervisor::try_acquire): a slow worker sheds
@@ -111,8 +113,8 @@ class Router final : public service::RequestHandler {
                              const std::string& memo_key);
 
   /// Last-resort compute-at-the-front for simulate when every worker is
-  /// down: answers via a lazily-built local ServiceCore whose sim cache dir
-  /// is the fleet's shared --sweep-cache, so the computed point is promoted
+  /// down: service::run_simulate on the fleet's shared --sweep-cache under
+  /// the workers' --max-point-cycles, so the computed point is promoted
   /// into the disk tier (write-fsync-rename) and recovering workers get a
   /// warm hit. Serialized — the front is the single writer while the fleet
   /// is dark. Empty response when promotion does not apply.
@@ -125,7 +127,6 @@ class Router final : public service::RequestHandler {
   service::ShardedLruCache stale_;
 
   std::mutex promote_mu_;  ///< single-writer gate for promotion compute
-  std::unique_ptr<service::ServiceCore> promote_core_;  ///< lazily built
 
   std::atomic<std::uint64_t> forwarded_{0};
   std::atomic<std::uint64_t> failovers_{0};

@@ -114,13 +114,22 @@ struct Fields {
       fail(std::string(key) + " must be a non-negative integer");
       return def;
     }
-    // 2^64 and above (infinity included) have no uint64_t value, and the
-    // cast below would be undefined behaviour.
-    if (v->as_number() >= 0x1p64) {
+    // Plain digits are taken exactly. Other spellings (4.0, 1e3) went
+    // through a double, which is exact only below 2^53; 2^64 and above
+    // (infinity included) have no uint64_t value at all.
+    std::uint64_t x = 0;
+    if (const auto exact = v->as_uint()) {
+      x = *exact;
+    } else if (v->as_number() >= 0x1p64) {
       fail(std::string(key) + " out of range");
       return def;
+    } else if (v->as_number() >= 0x1p53) {
+      fail(std::string(key) +
+           " is not exact: write integers of 2^53 or more as plain digits");
+      return def;
+    } else {
+      x = static_cast<std::uint64_t>(v->as_number());
     }
-    const auto x = static_cast<std::uint64_t>(v->as_number());
     if (x < lo || x > hi) {
       fail(std::string(key) + " out of range");
       return def;

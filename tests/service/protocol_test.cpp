@@ -5,9 +5,13 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
+#include "common/base64.hpp"
 #include "common/json.hpp"
 #include "common/sha256.hpp"
+#include "guest/corpus.hpp"
+#include "service/handlers.hpp"
 #include "service/protocol.hpp"
 
 namespace am::service {
@@ -88,11 +92,9 @@ TEST(Protocol, RejectsMalformedRequests) {
 }
 
 TEST(Protocol, RejectsSeedsPastUint64) {
-  // A double at or past 2^64 has no uint64_t value: each of these is refused
-  // with the range error, never served as some other seed. 2^64 - 1 rounds
-  // to 2^64 on its way through the double.
-  for (const char* seed :
-       {"1e300", "18446744073709551616", "18446744073709551615"}) {
+  // A value at or past 2^64 has no uint64_t value: each of these is refused
+  // with the range error, never served as some other seed.
+  for (const char* seed : {"1e300", "18446744073709551616"}) {
     for (const std::string head :
          {R"({"kind":"simulate","machine":"test","prim":"FAA","threads":4,)",
           R"({"kind":"run_guest","machine":"test","harts":1,"elf":"AAAA",)"}) {
@@ -107,6 +109,49 @@ TEST(Protocol, RejectsSeedsPastUint64) {
   EXPECT_EQ(must_parse(R"({"kind":"simulate","seed":18446744073709549568})")
                 .point.seed,
             18446744073709549568u);
+  // 2^64 - 1 is in range, and plain digits are taken exactly.
+  EXPECT_EQ(must_parse(R"({"kind":"simulate","seed":18446744073709551615})")
+                .point.seed,
+            18446744073709551615u);
+}
+
+TEST(Protocol, IntegerMembersAreExact) {
+  // 2^53 + 1 is the first integer a double cannot hold; it used to be
+  // served as 2^53.
+  const std::string exact = "9007199254740993";
+  const std::string rounded = "9007199254740992";
+  const std::vector<std::uint8_t> elf = guest::corpus::build("faa_counter");
+  const std::string b64 = base64_encode(std::string_view(
+      reinterpret_cast<const char*>(elf.data()), elf.size()));
+  ServiceConfig config;
+  config.metrics = false;
+  ServiceCore core(config);
+  for (const std::string& head :
+       {std::string(R"({"kind":"simulate","machine":"test","prim":"FAA",)"
+                    R"("threads":2,"seed":)"),
+        R"({"kind":"run_guest","machine":"test","harts":2,"elf":")" + b64 +
+            R"(","seed":)"}) {
+    const Request r = must_parse(head + exact + "}");
+    EXPECT_EQ(r.kind == RequestKind::kSimulate ? r.point.seed : r.guest.seed,
+              9007199254740993u);
+    EXPECT_NE(request_cache_key(r),
+              request_cache_key(must_parse(head + rounded + "}")));
+    const HandleResult reply = core.handle(r);
+    ASSERT_TRUE(reply.ok) << reply.response;
+    EXPECT_NE(reply.response.find("\"seed\":" + exact + ","),
+              std::string::npos)
+        << reply.response;
+    // Other spellings go through a double: below 2^53 they keep their
+    // value, at or past it they are refused, never rounded.
+    std::string error;
+    EXPECT_FALSE(parse_request(head + "9.007199254740993e15}", &error));
+    EXPECT_NE(error.find("seed is not exact"), std::string::npos) << error;
+    EXPECT_FALSE(parse_request(head + "9007199254740992.0}", &error));
+    EXPECT_EQ(must_parse(head + "4.0}").kind, r.kind);
+  }
+  EXPECT_EQ(must_parse(R"({"kind":"predict","threads":1.6e1})").point.threads,
+            16u);
+  EXPECT_EQ(must_parse(R"({"kind":"simulate","seed":4e3})").point.seed, 4000u);
 }
 
 TEST(Protocol, RejectsDuplicateMembers) {
