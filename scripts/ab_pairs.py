@@ -10,7 +10,7 @@ same host in the same minutes, so host speed and its drift divide out, and
 the median ignores the odd slow run on either side.
 
 Figures by report schema:
-  am-bench-sim-core/1, am-bench-sim-core/2   points_per_sec of each preset
+  am-bench-sim-core/1 to /3                   points_per_sec of each preset
   am-serve-load/1                            qps of the first row
 
 Usage:
@@ -35,7 +35,8 @@ import tempfile
 def figures(doc):
     """The gated figures of one report, as {label: value}."""
     schema = doc.get("schema")
-    if schema in ("am-bench-sim-core/1", "am-bench-sim-core/2"):
+    if schema in ("am-bench-sim-core/1", "am-bench-sim-core/2",
+                  "am-bench-sim-core/3"):
         return {p["preset"]: p["points_per_sec"] for p in doc["presets"]}
     if schema == "am-serve-load/1":
         return {"qps": doc["rows"][0]["qps"]}

@@ -312,6 +312,7 @@ RunStats Machine::run(ThreadProgram& program, CoreId active_cores,
     // attached trace well-formed.
     events_.clear();
     if (sink_ != nullptr) sink_->on_run_end();
+    run_events_ = events_processed;
     flush_metrics(now_);
     program_ = nullptr;
     stats_ = nullptr;
@@ -351,6 +352,7 @@ RunStats Machine::run(ThreadProgram& program, CoreId active_cores,
     stats.epochs = epochs_;
   }
   if (sink_ != nullptr) sink_->on_run_end();
+  run_events_ = events_processed;
   flush_metrics(now_);
 
   program_ = nullptr;
@@ -1281,6 +1283,8 @@ void Machine::flush_metrics(std::uint64_t cycles) {
       "am_sim_runs_total", "Machine::run calls completed (incl. watchdog)");
   static m::Counter& sim_cycles = m::default_registry().counter(
       "am_sim_cycles_total", "Simulated cycles elapsed across all runs");
+  static m::Counter& events = m::default_registry().counter(
+      "am_sim_events_total", "Events dispatched by the simulator's run loop");
   static m::Counter& ops = m::default_registry().counter(
       "am_sim_ops_total", "Atomic operations retired by the simulator");
   static m::Counter& grants = m::default_registry().counter(
@@ -1291,6 +1295,7 @@ void Machine::flush_metrics(std::uint64_t cycles) {
       "am_sim_invalidations_total", "Cache-line copies invalidated");
   runs.inc();
   sim_cycles.inc(cycles);
+  events.inc(run_events_);
   ops.inc(run_ops_);
   grants.inc(run_grants_);
   transitions.inc(run_transitions_);

@@ -23,6 +23,8 @@ TEST(Watchdog, CycleBudgetRaisesStructuredTimeout) {
     EXPECT_EQ(e.kind, PointTimeout::Kind::kCycleBudget);
     EXPECT_GT(e.at_cycle, 50u);
     EXPECT_NE(std::string(e.what()).find("cycle budget"), std::string::npos);
+    // The aborted run's dispatch count is published on the timeout path too.
+    EXPECT_EQ(m.events_dispatched(), e.events_processed);
   }
 }
 
@@ -59,6 +61,9 @@ TEST(Watchdog, GenerousBudgetDoesNotPerturbResults) {
     EXPECT_EQ(base.threads[i].attempts, guarded.threads[i].attempts);
   }
   EXPECT_EQ(base.invalidations, guarded.invalidations);
+  EXPECT_GT(plain.events_dispatched(), plain.ops_retired());
+  EXPECT_EQ(plain.events_dispatched(), watched.events_dispatched());
+  EXPECT_EQ(plain.ops_retired(), watched.ops_retired());
 }
 
 TEST(Watchdog, DisabledByDefault) {
