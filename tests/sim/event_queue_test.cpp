@@ -1,10 +1,11 @@
-// Property tests for the calendar-queue scheduler: randomized workloads are
-// run against a std::priority_queue reference with the same (time, seq)
-// comparator the seed core used. The byte-identity of the fast-path core
-// rests on the two schedulers agreeing on every pop, so the generators here
-// deliberately hit the calendar queue's structural edges: same-timestamp
-// FIFO bursts, year rollover (times far beyond nbuckets * width), cursor
-// rewind (pushing earlier than the last pop), and grow/shrink resizes
+// Property tests for the event scheduler: randomized workloads are run
+// against a std::priority_queue reference with the same (time, seq)
+// comparator the seed core used. The byte-identity of the simulator rests on
+// the two agreeing on every pop, so the generators here deliberately hit the
+// sorted array's structural edges: same-timestamp FIFO bursts, far-apart
+// times, pushes earlier than the last pop, a push before the head into the
+// popped prefix, a walk-back insert into the middle, floods far past the
+// one-event-per-core bound the simulator keeps, and dead-prefix compaction
 // mid-stream.
 #include <gtest/gtest.h>
 
@@ -59,16 +60,15 @@ class DualQueue {
   }
 
   std::size_t size() const { return ref_.size(); }
-  CalendarQueue& calendar() { return cq_; }
 
  private:
-  CalendarQueue cq_;
+  EventQueue cq_;
   RefQueue ref_;
   std::uint64_t seq_ = 0;
 };
 
 TEST(EventQueue, EmptyAfterConstruction) {
-  CalendarQueue q;
+  EventQueue q;
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
 }
@@ -115,8 +115,8 @@ TEST(EventQueue, RandomMixedWorkload) {
     for (int step = 0; step < 20000; ++step) {
       const bool do_push = dq.size() == 0 || rng.next() % 100 < 55;
       if (do_push) {
-        // Mixed scales: mostly near-term, occasional far-future times to
-        // force year rollover, occasional duplicates.
+        // Mixed scales: mostly near-term, occasional far-future times,
+        // occasional duplicates.
         const std::uint64_t r = rng.next() % 100;
         Cycles t;
         if (r < 70) {
@@ -137,33 +137,93 @@ TEST(EventQueue, RandomMixedWorkload) {
 
 TEST(EventQueue, CursorRewindOnPastPush) {
   DualQueue dq;
-  // Advance the cursor deep into time, then push earlier events — the
-  // simulator does this when an in-flight transfer completes before an
-  // already-scheduled far-future fetch.
+  // Pop deep into time, then push earlier events — the simulator does this
+  // when an in-flight transfer completes before an already-scheduled
+  // far-future fetch.
   dq.push(1'000'000, 0);
-  dq.pop_and_check();  // cursor now sits at the 1M window
+  dq.pop_and_check();  // the last pop was at 1M
   for (std::uint32_t i = 1; i <= 50; ++i) dq.push(i, i);
   dq.push(999'999, 51);
-  dq.push(0, 52);  // earlier than everything, same-year edge
+  dq.push(0, 52);  // earlier than everything
   dq.drain_and_check();
 }
 
 TEST(EventQueue, GrowAndShrinkKeepOrder) {
+  // A 4096-entry flood, far past the simulator's one event per core, in
+  // random order: most pushes walk back from the tail. Drained in order.
   DualQueue dq;
   Xoshiro256 rng(99);
   std::uint32_t p = 0;
-  const std::size_t before = dq.calendar().bucket_count();
-  // Flood far past the grow threshold...
   for (int i = 0; i < 4096; ++i) dq.push(rng.next() % 100000, p++);
-  EXPECT_GT(dq.calendar().bucket_count(), before);
-  // ...then drain past the shrink threshold, checking order throughout.
   dq.drain_and_check();
-  EXPECT_EQ(dq.calendar().bucket_count(), before);
+  // The emptied queue starts over from scratch.
+  for (int i = 0; i < 100; ++i) dq.push(rng.next() % 1000, p++);
+  dq.drain_and_check();
+}
+
+TEST(EventQueue, PushBeforeHeadAfterPops) {
+  // After pops the popped prefix has room, so an entry strictly before the
+  // head is written just in front of it. An entry at the head's own time
+  // loses the seq tie-break and must not take that slot.
+  DualQueue dq;
+  for (std::uint32_t i = 0; i < 10; ++i) dq.push(100 + 10 * i, i);
+  for (int i = 0; i < 3; ++i) dq.pop_and_check();  // head now at time 130
+  dq.push(125, 10);
+  dq.push(120, 11);  // before the new head again
+  dq.push(130, 12);  // ties the old head: goes after it
+  dq.push(120, 13);  // ties the head written above: goes after it
+  dq.pop_and_check();
+  dq.push(5, 14);  // far earlier than every pop so far
+  dq.drain_and_check();
+}
+
+TEST(EventQueue, PushIntoMiddle) {
+  // With nothing popped the prefix has no room: an entry before the head is
+  // inserted at the front, one between entries walks back from the tail.
+  DualQueue dq;
+  for (std::uint32_t i = 0; i < 16; ++i) dq.push(1000 + 100 * i, i);
+  dq.push(1550, 16);   // middle
+  dq.push(1500, 17);   // ties an entry: after it
+  dq.push(500, 18);    // before the head, prefix empty: front insert
+  dq.push(2450, 19);   // just before the tail
+  dq.push(2500, 20);   // ties the tail: appended
+  dq.pop_and_check();
+  dq.pop_and_check();
+  dq.push(1650, 21);   // middle, with a popped prefix
+  dq.drain_and_check();
+}
+
+TEST(EventQueue, DeadPrefixCompactionMidStream) {
+  // The dead prefix is erased once it is at least 64 entries and half the
+  // array: 200 monotone pushes and 100 pops erase it on the 100th pop. Then
+  // pushes to every edge (the front of a prefix-free array, the middle, the
+  // tail, before a regrown prefix) keep landing in order around each erase.
+  DualQueue dq;
+  Xoshiro256 rng(7);
+  std::uint32_t p = 0;
+  Cycles t = 0;
+  for (int i = 0; i < 200; ++i) dq.push(t += 10, p++);
+  for (int i = 0; i < 100; ++i) dq.pop_and_check();
+  dq.push(5, p++);      // before the head with no prefix left: front insert
+  dq.push(1505, p++);   // middle
+  for (int round = 0; round < 2000; ++round) {
+    dq.pop_and_check();
+    const std::uint64_t r = rng.next() % 10;
+    if (r < 6) {
+      dq.push(t += 10, p++);               // tail
+    } else if (r < 8) {
+      dq.push(t - rng.next() % 500, p++);  // middle (or before the head)
+    } else if (r < 9) {
+      dq.push(0, p++);                     // before everything
+    }
+    if (dq.size() == 0) dq.push(t += 10, p++);
+  }
+  dq.drain_and_check();
 }
 
 TEST(EventQueue, SparseFarApartTimes) {
-  // Each event sits many years from the next: every pop takes the
-  // global-min fallback path.
+  // Each event sits far from the next (the times grow 3x per push and wrap
+  // past 2^64): order holds across any gap.
   DualQueue dq;
   Cycles t = 1;
   for (std::uint32_t i = 0; i < 64; ++i) {
@@ -174,7 +234,7 @@ TEST(EventQueue, SparseFarApartTimes) {
 }
 
 TEST(EventQueue, ClearKeepsQueueUsable) {
-  CalendarQueue q;
+  EventQueue q;
   for (std::uint32_t i = 0; i < 100; ++i) q.push(i * 10, i, i);
   q.clear();
   EXPECT_TRUE(q.empty());
@@ -190,7 +250,7 @@ TEST(EventQueue, ClearKeepsQueueUsable) {
 }
 
 TEST(EventQueue, PayloadRoundTrips) {
-  CalendarQueue q;
+  EventQueue q;
   q.push(5, 0, 0xdeadbeef);
   const SchedEntry e = q.pop();
   EXPECT_EQ(e.time, 5u);
