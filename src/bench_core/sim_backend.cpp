@@ -8,14 +8,7 @@ namespace am::bench {
 
 SimBackend::SimBackend(sim::MachineConfig config, SimBackendOptions options,
                        std::uint64_t seed)
-    : config_(std::move(config)),
-      options_(options),
-      machine_(std::make_unique<sim::Machine>(config_, seed)),
-      seed_(seed) {}
-
-std::uint32_t SimBackend::max_threads() const {
-  return machine_->core_count();
-}
+    : config_(std::move(config)), options_(options), seed_(seed) {}
 
 bool SimBackend::set_trace_file(const std::string& path) {
   if (path.empty()) {
@@ -104,14 +97,14 @@ MeasuredRun SimBackend::do_run(const WorkloadConfig& config) {
   sim::MachineConfig run_config = config_;
   run_config.placement = sim::placement_for(
       config_.core_count(), config.pin_order == PinOrder::kScatter);
-  machine_ = std::make_unique<sim::Machine>(run_config, seed_ ^ config.seed);
-  machine_->set_line_profiling(profile_lines_);
-  machine_->set_epoch_cycles(epoch_cycles_);
-  machine_->set_watchdog(options_.watchdog);
+  sim::Machine machine(run_config, seed_ ^ config.seed);
+  machine.set_line_profiling(profile_lines_);
+  machine.set_epoch_cycles(epoch_cycles_);
+  machine.set_watchdog(options_.watchdog);
   if (sink_ != nullptr) {
-    machine_->set_sink(sink_);
+    machine.set_sink(sink_);
   } else if (trace_file_ != nullptr) {
-    machine_->set_sink(trace_file_.get());
+    machine.set_sink(trace_file_.get());
   }
 
   std::unique_ptr<sim::ThreadProgram> program;
@@ -148,7 +141,7 @@ MeasuredRun SimBackend::do_run(const WorkloadConfig& config) {
       break;
   }
 
-  const sim::RunStats stats = machine_->run(
+  const sim::RunStats stats = machine.run(
       *program, config.threads, options_.warmup_cycles, options_.measure_cycles);
   return to_measured_run(stats, config_.name);
 }

@@ -50,7 +50,7 @@ class SimBackend final : public ExecutionBackend {
 
   std::string name() const override { return "sim"; }
   std::string machine_name() const override { return config_.name; }
-  std::uint32_t max_threads() const override;
+  std::uint32_t max_threads() const override { return config_.core_count(); }
   double freq_ghz() const override { return config_.freq_ghz; }
   /// Machine fingerprint + measurement windows: everything besides the
   /// workload and seed that determines a simulated result.
@@ -60,8 +60,6 @@ class SimBackend final : public ExecutionBackend {
   /// Seed this backend XORs into every run's machine seed.
   std::uint64_t seed() const noexcept { return seed_; }
 
-  /// Direct access for experiments that prime line states (Table 2).
-  sim::Machine& machine() { return *machine_; }
   const sim::MachineConfig& machine_config() const { return config_; }
   const SimBackendOptions& options() const { return options_; }
 
@@ -87,7 +85,6 @@ class SimBackend final : public ExecutionBackend {
 
   sim::MachineConfig config_;
   SimBackendOptions options_;
-  std::unique_ptr<sim::Machine> machine_;
   std::uint64_t seed_;
 
   bool profile_lines_ = false;
