@@ -1,6 +1,6 @@
-// Regression tests for the event-loop assumptions the calendar-queue
-// rewrite audited: same-time FIFO dispatch, watchdog timing, and
-// deterministic invariant reporting.
+// Regression tests for the event-loop assumptions a scheduler rewrite must
+// keep: same-time FIFO dispatch, watchdog timing, and deterministic
+// invariant reporting.
 //
 // The seed core leaned on two properties of its std::priority_queue that a
 // replacement scheduler could silently weaken:
@@ -49,9 +49,9 @@ PointTimeout expect_timeout(WatchdogConfig wd, ThreadProgram& prog) {
 TEST(QueueAssumptions, CycleBudgetTimeoutIsPinned) {
   // The budget check runs after each pop, so *which* event first carries
   // now_ past the budget — and how many events were dispatched by then —
-  // depends entirely on dispatch order. Equal fields here mean the calendar
-  // queue dispatches the same event stream as the seed scheduler right up
-  // to the abort.
+  // depends entirely on dispatch order. Equal fields here mean the
+  // scheduler dispatches the same event stream as the seed scheduler right
+  // up to the abort.
   const WatchdogConfig wd{/*max_cycles=*/50, /*progress_events=*/0};
   HighContentionProgram prog(Primitive::kFaa, 0, 0, 0.0);
   const PointTimeout t = expect_timeout(wd, prog);
