@@ -115,8 +115,9 @@ constexpr std::uint64_t kFold = 1315423911u;
 /// cannot be elided and can be checked) and the machine's exact counts.
 struct PointWork {
   std::uint64_t digest = 0;
-  std::uint64_t events = 0;  ///< events dispatched
-  std::uint64_t ops = 0;     ///< operations retired, warm-up included
+  std::uint64_t events = 0;   ///< events dispatched
+  std::uint64_t inlined = 0;  ///< of which run inline (not pinned)
+  std::uint64_t ops = 0;      ///< operations retired, warm-up included
 };
 
 /// One uncached point: cold construction + one run.
@@ -133,6 +134,7 @@ PointWork run_point(const sim::MachineConfig& cfg, const Point& p) {
                t.wait_cycles * 7u;
   }
   w.events = machine.events_dispatched();
+  w.inlined = machine.events_inlined();
   w.ops = machine.ops_retired();
   return w;
 }
@@ -238,6 +240,13 @@ double events_per_op(const PointWork& w) {
                           static_cast<double>(w.ops);
 }
 
+/// Share of the dispatched events that ran inline, in percent.
+double inline_pct(const PointWork& w) {
+  return w.events == 0 ? 0.0
+                       : 100.0 * static_cast<double>(w.inlined) /
+                             static_cast<double>(w.events);
+}
+
 bool write_json(const std::string& path, const std::vector<PresetResult>& rs,
                 int reps, int scale) {
   std::ofstream out(path);
@@ -293,12 +302,13 @@ int main(int argc, char** argv) {
             << ", " << kNumPoints * scale << " points/rep) ==\n"
             << table;
 
-  Table detail({"point", "preset", "ms", "events", "events/op"});
+  Table detail({"point", "preset", "ms", "events", "events/op", "inline %"});
   for (const PresetResult& r : results) {
     for (const PointResult& pt : r.points) {
       detail.add_row({pt.name, r.preset, json_escape_double(pt.ms),
                       std::to_string(pt.work.events),
-                      json_escape_double(events_per_op(pt.work))});
+                      json_escape_double(events_per_op(pt.work)),
+                      json_escape_double(inline_pct(pt.work))});
     }
   }
   std::cout << "\n" << detail;

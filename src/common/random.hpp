@@ -70,18 +70,34 @@ class Xoshiro256 {
 /// Used by the low-contention workloads with skewed sharing: a small hot set
 /// of lines receives most accesses, the tail is effectively private.
 ///
-/// Implementation: inverse-CDF table (O(n) memory, O(log n) sampling), which
-/// is exact and fast enough for workload generation.
+/// Implementation: inverse-CDF table searched through a guide table. A draw
+/// u lies in bucket j = floor(u * K) of K equal buckets (K a power of two,
+/// so u * K and j / K are exact); guide_[j] is the first index whose cdf
+/// reaches j / K, and a forward scan from there returns exactly the index
+/// std::lower_bound(cdf, u) would. Built by one merge pass, O(n + K).
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double s);
 
-  std::size_t sample(Xoshiro256& rng) const noexcept;
+  std::size_t sample(Xoshiro256& rng) const noexcept {
+    return index_of(rng.next_double());
+  }
+  /// The first index whose cdf is >= @p u, for u in [0, 1].
+  std::size_t index_of(double u) const noexcept {
+    std::size_t i = guide_[static_cast<std::size_t>(u * buckets_)];
+    while (cdf_[i] < u) ++i;  // stops at cdf_.back() == 1.0
+    return i;
+  }
   std::size_t size() const noexcept { return cdf_.size(); }
   double exponent() const noexcept { return s_; }
+  const std::vector<double>& cdf() const noexcept { return cdf_; }
+  /// K, the number of guide buckets.
+  std::size_t guide_buckets() const noexcept { return guide_.size() - 1; }
 
  private:
   std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;  ///< K + 1 entries; guide_[K] for u = 1
+  double buckets_ = 0.0;              ///< K as a double
   double s_;
 };
 

@@ -102,6 +102,23 @@ LogHistogram::LogHistogram(double lo, double hi, int per_decade) : lo_(lo) {
   const auto regular =
       static_cast<std::size_t>(std::ceil(decades * per_decade)) + 1;
   counts_.assign(regular + 2, 0);  // +underflow +overflow
+  if (lo == kCycleLo && hi == kCycleHi && per_decade == kCyclePerDecade) {
+    int_table_ = cycle_table();
+  }
+}
+
+const std::uint8_t* LogHistogram::cycle_table() const {
+  // Every histogram of the cycle geometry computes the same index_for, so
+  // whichever constructs first fills the table for all (67 buckets fit a
+  // byte).
+  static const std::vector<std::uint8_t> table = [this] {
+    std::vector<std::uint8_t> t(kIntTableBound);
+    for (std::uint32_t v = 0; v < kIntTableBound; ++v) {
+      t[v] = static_cast<std::uint8_t>(index_for(static_cast<double>(v)));
+    }
+    return t;
+  }();
+  return table.data();
 }
 
 std::size_t LogHistogram::index_for(double value) const noexcept {
@@ -112,7 +129,7 @@ std::size_t LogHistogram::index_for(double value) const noexcept {
   return idx;
 }
 
-void LogHistogram::add(double value) noexcept {
+void LogHistogram::add_uncovered(double value) noexcept {
   std::size_t idx;
   if (value == memo_value_[0]) {
     idx = memo_index_[0];
@@ -128,15 +145,7 @@ void LogHistogram::add(double value) noexcept {
     memo_index_[memo_pos_] = static_cast<std::uint32_t>(idx);
     memo_pos_ = (memo_pos_ + 1) & 3;
   }
-  ++counts_[idx];
-  if (total_ == 0) {
-    min_seen_ = max_seen_ = value;
-  } else {
-    min_seen_ = std::min(min_seen_, value);
-    max_seen_ = std::max(max_seen_, value);
-  }
-  ++total_;
-  sum_ += value;
+  count(idx, value);
 }
 
 void LogHistogram::merge(const LogHistogram& other) {

@@ -4,6 +4,7 @@
 // and small-scale least-squares fitting used by model calibration.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -57,12 +58,30 @@ double coefficient_of_variation(std::span<const double> sample);
 /// cross-socket bounce storms (~tens of thousands of cycles).
 class LogHistogram {
  public:
+  /// Geometry of cycle-latency histograms (sim::ThreadStats). A histogram
+  /// built with it reads the bucket of an integer sample below
+  /// kIntTableBound from one process-wide, immutable table that index_for
+  /// fills once, instead of taking a log10.
+  static constexpr double kCycleLo = 1.0;
+  static constexpr double kCycleHi = 1e8;
+  static constexpr int kCyclePerDecade = 8;
+  static constexpr std::uint32_t kIntTableBound = 1u << 14;
+
   /// @param lo       lower edge of the first bucket (> 0)
   /// @param hi       upper edge of the last regular bucket
   /// @param per_decade number of buckets per decade (resolution)
   LogHistogram(double lo, double hi, int per_decade = 16);
 
-  void add(double value) noexcept;
+  void add(double value) noexcept {
+    if (int_table_ != nullptr && value >= 0.0 && value < kIntTableBound) {
+      const auto i = static_cast<std::uint32_t>(value);
+      if (static_cast<double>(i) == value) {
+        count(int_table_[i], value);
+        return;
+      }
+    }
+    add_uncovered(value);
+  }
   void merge(const LogHistogram& other);
 
   std::uint64_t total_count() const noexcept { return total_; }
@@ -76,8 +95,26 @@ class LogHistogram {
   /// Geometric midpoint of bucket @p i (representative value).
   double bucket_mid(std::size_t i) const;
 
- private:
+  /// The bucket add() counts @p value in, computed from the geometry alone
+  /// (no table, no memo).
   std::size_t index_for(double value) const noexcept;
+
+ private:
+  /// The cycle geometry's integer table (filled by the first caller).
+  const std::uint8_t* cycle_table() const;
+  /// add() for a sample the table does not cover: the memo, then index_for.
+  void add_uncovered(double value) noexcept;
+  void count(std::size_t idx, double value) noexcept {
+    ++counts_[idx];
+    if (total_ == 0) {
+      min_seen_ = max_seen_ = value;
+    } else {
+      min_seen_ = std::min(min_seen_, value);
+      max_seen_ = std::max(max_seen_, value);
+    }
+    ++total_;
+    sum_ += value;
+  }
 
   double lo_;
   double log_lo_;
@@ -89,10 +126,12 @@ class LogHistogram {
   // distances), and index_for() pays a log10 per miss. Four slots with
   // round-robin replacement cover the alternating patterns a single-entry
   // memo thrashes on. Initialised to a consistent pair: index_for(-1.0) is
-  // the underflow bucket.
+  // the underflow bucket. Samples int_table_ covers skip it.
   double memo_value_[4] = {-1.0, -1.0, -1.0, -1.0};
   std::uint32_t memo_index_[4] = {0, 0, 0, 0};
   std::uint32_t memo_pos_ = 0;
+  /// cycle_table() for the cycle geometry, else nullptr.
+  const std::uint8_t* int_table_ = nullptr;
   std::vector<std::uint64_t> counts_;  // [underflow, regular..., overflow]
   std::uint64_t total_ = 0;
   double sum_ = 0.0;

@@ -213,6 +213,10 @@ bool write_all(int fd, const std::string& data) {
     if (left.count() <= 0) return false;
     pollfd pfd{fd, POLLOUT, 0};
     const int rc = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    // Not writable for the rest of the stall: a send now could still put a
+    // few bytes into the slack below the socket's writable mark, which says
+    // nothing about the peer reading, and would restart the stall.
+    if (rc == 0) return false;
     if (rc < 0 && errno != EINTR) return false;
     if (rc > 0 && (pfd.revents & (POLLERR | POLLNVAL)) != 0) return false;
   }

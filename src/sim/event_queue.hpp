@@ -12,7 +12,10 @@
 // queue has none), so the queue never holds more than the run's active cores
 // (<= 64 on every preset). Most pushes land at the tail (monotone streams and
 // same-time lockstep bursts) or strictly before the head (the pushing core's
-// next event is the earliest one), and both are O(1) here. docs/sim_core.md
+// next event is the earliest one), and both are O(1) here. The machine
+// offers a core's fetch after a retirement and its completion after a
+// local-hit issue through push_unless_first(): a strictly-earliest one is
+// declined and dispatched next without entering the array. docs/sim_core.md
 // has the measurements and the designs that lost.
 #pragma once
 
@@ -48,6 +51,16 @@ class EventQueue {
       while (it != first && before(e, *(it - 1))) --it;
       items_.insert(it, e);
     }
+  }
+
+  /// Inserts an entry unless it would pop before every queued entry whatever
+  /// its seq: the queue is empty or @p time is strictly earlier than the
+  /// head's. Returns false, inserting nothing, in that case.
+  bool push_unless_first(Cycles time, std::uint64_t seq,
+                         std::uint32_t payload) {
+    if (empty() || time < items_[head_].time) return false;
+    push(time, seq, payload);
+    return true;
   }
 
   /// Removes and returns the minimum entry by (time, seq). Precondition:

@@ -17,7 +17,10 @@
 // Internals (docs/sim_core.md has the full layout): line state lives in
 // slot-indexed struct-of-arrays storage behind an insert-only flat hash
 // (lines are never deleted, only reset), the scheduler is a sorted array of
-// at most one event per core (sim/event_queue.hpp), interconnect routing is
+// at most one event per core (sim/event_queue.hpp), a core's fetch after its
+// op retires and its op completion after a local-hit issue skip that array
+// when they are strictly earlier than every queued event (the run loop
+// dispatches them next, with the same accounting), interconnect routing is
 // flattened into dense n*n tables at construction (sim/route_table.hpp),
 // residency tracking is an intrusive array-node LRU, and op streams are
 // decoded once per op (or once per run, for programs exposing a StaticPlan)
@@ -114,6 +117,10 @@ class Machine {
   /// RunStats, so no digest or cached result depends on them.
   std::uint64_t events_dispatched() const noexcept { return run_events_; }
   std::uint64_t ops_retired() const noexcept { return run_ops_; }
+  /// Of the last run's dispatched events, those run inline: dispatched next
+  /// without a queue push and pop, because they were strictly earlier than
+  /// every queued event. Outside RunStats, like the counts above.
+  std::uint64_t events_inlined() const noexcept { return run_inlined_; }
 
   /// Forces a line into a given coherence state before a run — used by the
   /// state-conditioned latency probes (Table 2). @p owner is the core
@@ -207,7 +214,9 @@ class Machine {
 
   static constexpr std::uint32_t kNilSlot = ~0u;
 
-  /// Event payload: kind in the top 2 bits, core below.
+  /// Event payload: kind in the top 2 bits, core below. kNoEvent (an
+  /// impossible core) marks an empty inline slot.
+  static constexpr std::uint32_t kNoEvent = ~0u;
   static std::uint32_t pack(EventKind kind, CoreId core) noexcept {
     return (static_cast<std::uint32_t>(kind) << 30) | core;
   }
@@ -338,9 +347,35 @@ class Machine {
   };
 
   void schedule(Cycles time, EventKind kind, CoreId core) {
-    // At most one event per core is in flight; EventQueue relies on it.
+    // At most one event per core is in flight; EventQueue relies on it. A
+    // pending inline event must be its handler's last push.
     assert(events_.size() < active_cores_);
+    assert(inline_payload_ == kNoEvent);
     events_.push(time, next_seq_++, pack(kind, core));
+  }
+  /// A handler's last push of a fetch after a retirement or an op completion
+  /// after a local-hit issue. An event strictly earlier than every queued one
+  /// would pop next whatever its seq, so it goes to the inline slot, which
+  /// the run loop dispatches before it pops again; equal times lose to the
+  /// queued event's older seq and are pushed.
+  void schedule_tail(Cycles time, EventKind kind, CoreId core) {
+    assert(events_.size() < active_cores_);
+    assert(inline_payload_ == kNoEvent);
+    if (!events_.push_unless_first(time, next_seq_++, pack(kind, core))) {
+      inline_time_ = time;
+      inline_payload_ = pack(kind, core);
+    }
+  }
+  /// Schedules a local hit's completion. An issue's hit is the issue's last
+  /// push and may run inline; a CAS-loop retry's hit is pushed, so a done
+  /// never inlines another done.
+  void schedule_hit_done(CoreId core, bool from_issue) {
+    const Cycles t = now_ + core_states_[core].op.serve_cost;
+    if (from_issue) {
+      schedule_tail(t, EventKind::kOpDone, core);
+    } else {
+      schedule(t, EventKind::kOpDone, core);
+    }
   }
   void handle_fetch_next(CoreId core);
   void handle_issue(CoreId core);
@@ -358,14 +393,20 @@ class Machine {
   /// drain and runs the resume action when the buffer is empty).
   void drain_next(CoreId core);
   /// Queues the core's pending request at the line's directory (or serves it
-  /// locally when the cached state suffices). Shared by issue and CAS retry.
-  void submit_request(CoreId core);
+  /// locally when the cached state suffices). Shared by issue and CAS retry;
+  /// only an issue's local hit may leave its completion in the inline slot.
+  void submit_request(CoreId core, bool from_issue = false);
 
   /// Decodes @p req into @p op (slot left unresolved).
   void decode(const IssueRequest& req, DecodedOp& op) const;
 
-  /// Grants the line to the next arbitrated waiter if it is free.
-  void try_grant(std::uint32_t slot);
+  /// Grants the line to the next arbitrated waiter if it is free. Inline,
+  /// so an uncontended line's release pays two tests and no call.
+  void try_grant(std::uint32_t slot) {
+    if (line_busy_[slot] == 0 && !line_queue_[slot].empty()) grant_next(slot);
+  }
+  /// try_grant's body, for a free line with a waiter.
+  void grant_next(std::uint32_t slot);
   /// Chooses the next request index per the arbitration policy. @p id is
   /// the line (its home agent anchors the proximity bias).
   std::size_t arbitrate(std::uint32_t slot, LineId id);
@@ -387,7 +428,15 @@ class Machine {
   /// LRU residency tracking per core (capacity = config.cache_capacity_lines).
   /// touch() marks a line most-recently-used and evicts the LRU line when
   /// over capacity; forget() drops bookkeeping when a copy is invalidated.
-  void touch_resident(CoreId core, std::uint32_t slot);
+  /// A core re-touching the line it touched last (the common case for
+  /// private-line and single-hot-line workloads) returns inline: the head
+  /// node already tracks the slot.
+  void touch_resident(CoreId core, std::uint32_t slot) {
+    const Residency& res = residency_[core];
+    if (res.head != kNilSlot && res.nodes[res.head].slot == slot) return;
+    touch_resident_slow(core, slot);
+  }
+  void touch_resident_slow(CoreId core, std::uint32_t slot);
   void forget_resident(CoreId core, std::uint32_t slot);
   void evict_one(CoreId core);
 
@@ -398,7 +447,13 @@ class Machine {
   std::uint32_t find_slot(LineId id) const noexcept {
     return line_index_.find(id, kNilSlot);
   }
-  Mesi state_of(std::uint32_t slot, CoreId core) const;
+  /// @p core's state of the line in @p slot; the owner's test is inline.
+  Mesi state_of(std::uint32_t slot, CoreId core) const {
+    if (line_owner_[slot] == core) return line_owner_state_[slot];
+    return sharer_state(slot, core);
+  }
+  /// kShared when @p core holds a Shared copy, else kInvalid.
+  Mesi sharer_state(std::uint32_t slot, CoreId core) const;
 
   void record_completion(CoreId core, const OpResult& r, Cycles latency);
   bool in_measure_window(Cycles t) const noexcept {
@@ -444,6 +499,11 @@ class Machine {
   EventQueue events_;
   std::uint64_t next_seq_ = 0;
   Cycles now_ = 0;
+  /// The inline slot (schedule_tail): an event to dispatch before the next
+  /// pop, or kNoEvent. It is empty whenever a handler starts. Its event took
+  /// a seq like a pushed one, so the seq stream is the same either way.
+  Cycles inline_time_ = 0;
+  std::uint32_t inline_payload_ = kNoEvent;
 
   // --- line store: slot-indexed struct-of-arrays ---------------------------
   // Parallel arrays indexed by slot; line_index_ maps LineId -> slot. Slots
@@ -532,6 +592,7 @@ class Machine {
   // per run, so simulation throughput is unaffected by telemetry.
   void flush_metrics(std::uint64_t cycles);
   std::uint64_t run_events_ = 0;        ///< events dispatched
+  std::uint64_t run_inlined_ = 0;       ///< of which run inline
   std::uint64_t run_ops_ = 0;           ///< operations retired
   std::uint64_t run_grants_ = 0;        ///< directory line grants
   std::uint64_t run_transitions_ = 0;   ///< MESI state transitions applied

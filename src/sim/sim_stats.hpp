@@ -30,7 +30,8 @@ struct ThreadStats {
   Cycles latency_max = 0;
   /// Log-spaced latency histogram (1 cycle .. 100M cycles) for tail
   /// percentiles; always collected (completions are rare next to events).
-  LogHistogram latency_hist{1.0, 1e8, 8};
+  LogHistogram latency_hist{LogHistogram::kCycleLo, LogHistogram::kCycleHi,
+                            LogHistogram::kCyclePerDecade};
 
   double mean_latency() const noexcept {
     return ops == 0 ? 0.0 : latency_sum / static_cast<double>(ops);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -77,6 +80,57 @@ TEST(Zipf, SamplesAlwaysInRange) {
   ZipfSampler z(7, 0.99);
   Xoshiro256 rng(17);
   for (int i = 0; i < 10'000; ++i) EXPECT_LT(z.sample(rng), 7u);
+}
+
+/// What the sampler replaced: std::lower_bound over its cdf.
+std::size_t lower_bound_index(const ZipfSampler& z, double u) {
+  const std::vector<double>& cdf = z.cdf();
+  return static_cast<std::size_t>(
+      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+TEST(Zipf, GuideTableEqualsLowerBound) {
+  for (const std::size_t n : {1u, 2u, 64u, 1000u}) {
+    for (const double s : {0.0, 0.99, 2.0}) {
+      const ZipfSampler z(n, s);
+      // The draws' domain is [0, 1); index_of also takes 1.0 itself.
+      const auto check = [&](double u) {
+        if (u < 0.0 || u > 1.0) return;
+        ASSERT_EQ(z.index_of(u), lower_bound_index(z, u))
+            << "n=" << n << " s=" << s << " u=" << u;
+      };
+      const auto check_around = [&](double u) {
+        check(u);
+        check(std::nextafter(u, 0.0));
+        check(std::nextafter(u, 2.0));
+      };
+      for (const double c : z.cdf()) check_around(c);
+      const std::size_t k = z.guide_buckets();
+      for (std::size_t j = 0; j <= k; ++j) {
+        check_around(static_cast<double>(j) / static_cast<double>(k));
+      }
+      Xoshiro256 rng(n * 131 + static_cast<std::uint64_t>(s * 100));
+      for (int i = 0; i < 1'000'000; ++i) check(rng.next_double());
+      // sample() is index_of of the generator's next draw.
+      Xoshiro256 a(5);
+      Xoshiro256 b(5);
+      for (int i = 0; i < 1000; ++i) {
+        ASSERT_EQ(z.sample(a), lower_bound_index(z, b.next_double()));
+      }
+    }
+  }
+}
+
+TEST(Zipf, GuideTableIsLinearInN) {
+  // A sampler is built per simulator run, so its build is one merge pass
+  // over n indices and K buckets: K stays within 4 * bit_ceil(n), capped.
+  for (const std::size_t n : {1u, 2u, 3u, 64u, 1000u, 1u << 20}) {
+    const ZipfSampler z(n, 0.99);
+    EXPECT_TRUE(std::has_single_bit(z.guide_buckets())) << n;
+    EXPECT_LE(z.guide_buckets(), std::min<std::size_t>(4 * std::bit_ceil(n),
+                                                       1u << 16))
+        << n;
+  }
 }
 
 TEST(Zipf, RejectsDegenerate) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -107,6 +108,74 @@ TEST(LogHistogram, RejectsBadGeometry) {
   EXPECT_THROW(LogHistogram(0.0, 10.0), std::invalid_argument);
   EXPECT_THROW(LogHistogram(10.0, 5.0), std::invalid_argument);
   EXPECT_THROW(LogHistogram(1.0, 10.0, 0), std::invalid_argument);
+}
+
+LogHistogram cycle_histogram() {
+  return LogHistogram(LogHistogram::kCycleLo, LogHistogram::kCycleHi,
+                      LogHistogram::kCyclePerDecade);
+}
+
+TEST(LogHistogram, IntegerTableMatchesIndexFor) {
+  // Every integer the table covers lands in index_for's bucket: after each
+  // add, that bucket holds exactly the samples index_for assigned it.
+  LogHistogram h = cycle_histogram();
+  std::vector<std::uint64_t> want(h.bucket_count(), 0);
+  for (std::uint32_t v = 0; v < LogHistogram::kIntTableBound; ++v) {
+    const std::size_t idx = h.index_for(static_cast<double>(v));
+    h.add(static_cast<double>(v));
+    ASSERT_EQ(h.bucket(idx), ++want[idx]) << "value " << v;
+  }
+  EXPECT_EQ(h.total_count(), LogHistogram::kIntTableBound);
+}
+
+TEST(LogHistogram, ValuesOutsideTheTableKeepIndexFor) {
+  // Past the bound, fractions, negatives and other geometries take the
+  // memo and index_for path; repeats exercise the memo.
+  const double bound = LogHistogram::kIntTableBound;
+  const std::vector<double> values{
+      bound,        bound + 1.0,   bound + 0.5, bound * 7.0,   1e7,
+      1e9,          0.5,           1.5,         999.25,        -3.0,
+      -0.5,         std::nextafter(bound, 0.0), 2.0 + 1e-9,    bound,
+      1.5,          1e9,           -3.0,        1234567.0,     0.999};
+  for (LogHistogram h : {cycle_histogram(), LogHistogram(1.0, 1e6, 16)}) {
+    std::vector<std::uint64_t> want(h.bucket_count(), 0);
+    for (const double v : values) {
+      const std::size_t idx = h.index_for(v);
+      h.add(v);
+      ASSERT_EQ(h.bucket(idx), ++want[idx]) << "value " << v;
+    }
+  }
+}
+
+TEST(LogHistogram, ConcurrentAddsUnderTsan) {
+  // Two threads build cycle-geometry histograms and add samples at once.
+  // Run alone (--gtest_filter=LogHistogram.ConcurrentAddsUnderTsan) in a
+  // -fsanitize=thread build, they race to fill the shared table first.
+  // Samples span the table's bound, so both paths run.
+  constexpr std::uint32_t kSamples = 50'000;
+  const auto sample = [](std::uint32_t i, std::uint32_t t) {
+    return static_cast<double>((i * 2654435761u + t) % 20'000);
+  };
+  std::vector<std::vector<std::uint64_t>> got(2);
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&got, &sample, t] {
+      LogHistogram h = cycle_histogram();
+      for (std::uint32_t i = 0; i < kSamples; ++i) h.add(sample(i, t));
+      for (std::size_t b = 0; b < h.bucket_count(); ++b) {
+        got[t].push_back(h.bucket(b));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const LogHistogram geometry = cycle_histogram();
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    std::vector<std::uint64_t> want(geometry.bucket_count(), 0);
+    for (std::uint32_t i = 0; i < kSamples; ++i) {
+      ++want[geometry.index_for(sample(i, t))];
+    }
+    EXPECT_EQ(got[t], want) << "thread " << t;
+  }
 }
 
 TEST(LeastSquares, ExactLinearFit) {

@@ -54,6 +54,20 @@ class DualQueue {
     ASSERT_EQ(cq_.size(), ref_.size());
   }
 
+  /// push_unless_first on the queue under test. It must decline exactly an
+  /// entry the reference would pop before everything it holds, whatever the
+  /// seq: the reference is empty or the time is strictly earlier than its
+  /// top's. A declined entry goes to neither queue. Returns whether pushed.
+  bool push_unless_first_and_check(Cycles time, std::uint32_t payload) {
+    const bool first = ref_.empty() || time < ref_.top().time;
+    const bool pushed = cq_.push_unless_first(time, seq_, payload);
+    EXPECT_EQ(pushed, !first) << "time " << time;
+    if (pushed) ref_.push(RefEntry{time, seq_, payload});
+    ++seq_;
+    EXPECT_EQ(cq_.size(), ref_.size());
+    return pushed;
+  }
+
   void drain_and_check() {
     while (!ref_.empty()) pop_and_check();
     EXPECT_TRUE(cq_.empty());
@@ -129,6 +143,39 @@ TEST(EventQueue, RandomMixedWorkload) {
         dq.push(t, p++);
       } else {
         dq.pop_and_check();
+      }
+    }
+    dq.drain_and_check();
+  }
+}
+
+TEST(EventQueue, PushUnlessFirstDeclinesOnlyStrictlyEarliest) {
+  DualQueue dq;
+  // Empty queue: declined. An equal time loses to the queued entry's older
+  // seq, so it is pushed; a strictly earlier one is declined.
+  EXPECT_FALSE(dq.push_unless_first_and_check(10, 0));
+  dq.push(10, 1);
+  EXPECT_TRUE(dq.push_unless_first_and_check(10, 2));
+  EXPECT_FALSE(dq.push_unless_first_and_check(9, 3));
+  EXPECT_TRUE(dq.push_unless_first_and_check(11, 4));
+  dq.drain_and_check();
+  // Random streams mixing plain pushes, pops and push_unless_first around
+  // the head's time, through the popped-prefix and walk-back paths.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    Xoshiro256 rng(seed);
+    Cycles now = 0;
+    std::uint32_t p = 100;
+    for (int step = 0; step < 20000; ++step) {
+      const std::uint64_t r = rng.next() % 100;
+      const Cycles t = now + rng.next() % 16;
+      if (r < 35) {
+        dq.push(t, p++);
+      } else if (r < 70) {
+        dq.push_unless_first_and_check(t, p++);
+      } else if (dq.size() > 0) {
+        dq.pop_and_check();
+        now += rng.next() % 4;
       }
     }
     dq.drain_and_check();
