@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <optional>
@@ -79,6 +80,38 @@ TEST(RecvLine, CapAllowsLinesUpToTheLimit) {
   EXPECT_EQ(recv_line(sp.b, &buffer, &line, /*max_bytes=*/256),
             RecvStatus::kOk);
   EXPECT_EQ(line, line_in);
+}
+
+TEST(WriteAll, GivesUpOneStallAfterATcpPeerStopsReading) {
+  // A loopback TCP peer that never reads, and a non-blocking writer as the
+  // server's workers hold. Once both buffers are full, the receiver's
+  // window can reopen by a few bytes, which frees send-buffer space below
+  // the writable mark: poll still times out, but a send would take those
+  // bytes and restart the stall (unix sockets have no such slack). The
+  // write must end one stall bound after its last progress, not two.
+  Endpoint ep;
+  ep.host = "127.0.0.1";
+  ep.port = 0;
+  std::string error;
+  const int lfd = listen_on(ep, &error);
+  ASSERT_GE(lfd, 0) << error;
+  ep.port = bound_port(lfd);
+  const int reader = connect_to(ep, &error);
+  ASSERT_GE(reader, 0) << error;
+  const int writer = ::accept4(lfd, nullptr, nullptr, SOCK_NONBLOCK);
+  ASSERT_GE(writer, 0) << std::strerror(errno);
+
+  const std::string data(8 << 20, 'x');  // past any autotuned buffer pair
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(write_all(writer, data));
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_GE(elapsed, kWriteStall);
+  // Filling the buffers takes milliseconds; a restarted stall takes 2 s.
+  EXPECT_LT(elapsed, kWriteStall + std::chrono::seconds(1))
+      << std::chrono::duration<double>(elapsed).count() << " s";
+  ::close(writer);
+  ::close(reader);
+  ::close(lfd);
 }
 
 TEST(Protocol, CodedErrorEnvelopeRoundTrips) {
