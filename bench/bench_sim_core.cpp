@@ -283,8 +283,7 @@ int main(int argc, char** argv) {
                CliParser::FlagKind::kInt);
   cli.add_flag("scale", "point-list repetitions per rep (raises run length)",
                "1", CliParser::FlagKind::kInt);
-  cli.add_flag("json-out", "result JSON path (empty = skip)",
-               "BENCH_sim_core.json");
+  cli.add_flag("json-out", "result JSON path (empty = skip)", "");
   if (!cli.parse(argc, argv)) return 1;
   const int reps = std::max<int>(1, static_cast<int>(cli.get_int("reps")));
   const int scale = std::max<int>(1, static_cast<int>(cli.get_int("scale")));

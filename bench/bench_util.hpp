@@ -83,16 +83,12 @@ inline void add_common_flags(CliParser& cli, unsigned groups) {
                "0", CliParser::FlagKind::kInt);
   cli.add_flag("sweep-cache",
                "directory of the on-disk sweep result cache; re-runs load "
-               "already-computed points bit-exactly (empty = off)",
+               "already-computed points bit-exactly, so a rerun after "
+               "SIGKILL/SIGINT runs only unfinished points (empty = off)",
                "");
   cli.add_flag("base-seed",
                "base seed for the sweep's per-point seed derivation",
                "1", CliParser::FlagKind::kUint64);
-  cli.add_flag("sweep-journal",
-               "crash-safe journal of completed sweep points; a rerun after "
-               "SIGKILL/SIGINT skips journaled points even with the result "
-               "cache off (empty = off)",
-               "");
   cli.add_flag("max-point-cycles",
                "per-point watchdog budget in simulated cycles; 0 = auto "
                "(64x the warmup+measure window), negative = no watchdog",
@@ -103,8 +99,8 @@ inline void add_common_flags(CliParser& cli, unsigned groups) {
                "false", CliParser::FlagKind::kBool);
   cli.add_flag("replay-point",
                "re-execute exactly this sweep submission index, serially, "
-               "bypassing cache and journal (-1 = off); printed in the "
-               "replay command of every failed point",
+               "bypassing the cache (-1 = off); printed in the replay "
+               "command of every failed point",
                "-1", CliParser::FlagKind::kInt);
 }
 
@@ -215,10 +211,9 @@ inline Sweep sweep_from(const CliParser& cli,
                            std::max<std::int64_t>(0, cli.get_int("jobs")));
   opts.cache_dir = cli.get("sweep-cache");
   opts.base_seed = cli.get_uint64("base-seed");
-  opts.journal_path = cli.get("sweep-journal");
   // Ctrl-C cancels cooperatively: in-flight points finish, unstarted ones
-  // surface as cancelled rows, the journal and partial report still land,
-  // and finish() exits 130.
+  // surface as cancelled rows, finished points stay cached, the partial
+  // report still lands, and finish() exits 130.
   std::signal(SIGINT, [](int) { bench::SweepEngine::request_cancel(); });
   bench::SweepEngine::BackendFactory factory;
   if (spec) {
@@ -293,13 +288,13 @@ inline Primitive primitive_flag(const CliParser& cli, const std::string& name) {
 
 /// The command that re-executes sweep point @p index in isolation: the
 /// original command line with the execution-shape flags (--jobs,
-/// --replay-point, caches, journal, report/trace outputs) stripped and
+/// --replay-point, cache, report/trace outputs) stripped and
 /// `--jobs=1 --replay-point=N` appended. Deterministic for a given command,
 /// so reports stay byte-identical across --jobs and cache temperature.
 inline std::string replay_command(const CliParser& cli, std::size_t index) {
   static constexpr const char* kStrip[] = {
-      "--jobs",       "--sweep-cache", "--sweep-journal", "--replay-point",
-      "--json-out",   "--csv",         "--trace-out",
+      "--jobs",     "--sweep-cache", "--replay-point",
+      "--json-out", "--csv",         "--trace-out",
   };
   std::istringstream in(cli.command_line());
   std::string tok;
@@ -400,11 +395,8 @@ inline void emit(const CliParser& cli, const std::string& title,
   if (sweep != nullptr) {
     sr = sweep_report(cli, *sweep);
     std::cout << "(sweep: " << sweep->executed_points() << " simulated, "
-              << sweep->cache_hits() << " cache hits, ";
-    if (sweep->journal_hits() > 0) {
-      std::cout << sweep->journal_hits() << " journal hits, ";
-    }
-    std::cout << "jobs=" << sweep->jobs() << ")\n";
+              << sweep->cache_hits() << " cache hits, jobs=" << sweep->jobs()
+              << ")\n";
     for (const auto& f : sr.failures) {
       std::cout << "(point " << f.index << " " << f.status << ": " << f.message
                 << "; replay: " << f.replay << ")\n";

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "bench_core/sweep_io.hpp"
 #include "common/json.hpp"
 #include "common/sha256.hpp"
 #include "obs/metrics.hpp"
@@ -289,7 +290,6 @@ const char* to_string(PointStatus s) noexcept {
     case PointStatus::kOk: return "ok";
     case PointStatus::kTimeout: return "timeout";
     case PointStatus::kSimError: return "sim_error";
-    case PointStatus::kCacheError: return "cache_error";
     case PointStatus::kCancelled: return "cancelled";
     case PointStatus::kSkipped: return "skipped";
   }
@@ -313,9 +313,7 @@ void count_finished(const PointRun& run) {
   if (run.status != PointStatus::kOk) return;
   reg.counter("am_sweep_point_results_total",
               "Successful sweep-point results, by source",
-              {{"source", run.from_cache     ? "cache"
-                          : run.from_journal ? "journal"
-                                             : "executed"}})
+              {{"source", run.from_cache ? "cache" : "executed"}})
       .inc();
 }
 
@@ -345,73 +343,44 @@ void run_counted(PointRun& out, Body&& body) {
   count_finished(out);
 }
 
-void record_in_journal(sweep::SweepJournal* journal, const std::string& key,
-                       PointRun& out) {
-  if (journal == nullptr || key.empty()) return;
-  if (!journal->append(key, out.result)) ++out.io_errors;
-}
-
 }  // namespace
 
 PointRun run_sweep_point(const BackendFactory& factory,
                          const WorkloadConfig& config, std::uint64_t seed,
-                         const std::string& cache_dir,
-                         sweep::SweepJournal* journal) {
+                         const std::string& cache_dir) {
   PointRun out;
   run_counted(out, [&] {
     std::unique_ptr<ExecutionBackend> backend = factory(seed);
     backend->set_run_recorder(&out.log);
-    if (journal != nullptr && !journal->is_open()) journal = nullptr;
 
     std::string key;
-    if (journal != nullptr || !cache_dir.empty()) {
+    if (!cache_dir.empty()) {
       key = sweep_cache_key(backend->cache_identity(), config, seed);
     }
     std::string cache_path;
     if (!key.empty()) {
-      if (journal != nullptr) {
-        if (auto journaled = journal->lookup(key)) {
-          out.result = std::move(*journaled);
-          out.from_journal = true;
-          out.log.push_back(RecordedRun{config, out.result});
-          return;
-        }
-      }
-      if (!cache_dir.empty()) {
-        cache_path = sweep_cache_path(cache_dir, key);
-        std::string bytes;
-        switch (sweep::read_file_with_retry(cache_path, bytes)) {
-          case sweep::IoResult::kOk:
-            if (auto cached = parse_measured_run(bytes, key)) {
-              out.result = std::move(*cached);
-              out.from_cache = true;
-              out.log.push_back(RecordedRun{config, out.result});
-              record_in_journal(journal, key, out);
-              return;
-            }
-            // Corrupt bytes or a stale/colliding key: quarantine the file
-            // for postmortem and recompute — never trust it again.
-            sweep::quarantine_file(cache_dir, cache_path);
-            out.quarantined = true;
-            break;
-          case sweep::IoResult::kMissing:
-            break;
-          case sweep::IoResult::kError: {
-            ++out.io_errors;
-            const sweep::IoFaults* f = sweep::io_faults();
-            if (f != nullptr &&
-                f->escalate_read.load(std::memory_order_relaxed)) {
-              out.status = PointStatus::kCacheError;
-              out.message = "cache read failed after " +
-                            std::to_string(sweep::kIoAttempts) +
-                            " attempts: " + cache_path;
-              return;
-            }
-            // Degrade: run uncached rather than fail the point.
-            cache_path.clear();
-            break;
+      cache_path = sweep_cache_path(cache_dir, key);
+      std::string bytes;
+      switch (sweep::read_file_with_retry(cache_path, bytes)) {
+        case sweep::IoResult::kOk:
+          if (auto cached = parse_measured_run(bytes, key)) {
+            out.result = std::move(*cached);
+            out.from_cache = true;
+            out.log.push_back(RecordedRun{config, out.result});
+            return;
           }
-        }
+          // Corrupt bytes or a stale/colliding key: quarantine the file
+          // for postmortem and recompute — never trust it again.
+          sweep::quarantine_file(cache_dir, cache_path);
+          out.quarantined = true;
+          break;
+        case sweep::IoResult::kMissing:
+          break;
+        case sweep::IoResult::kError:
+          // Degrade: run uncached rather than fail the point.
+          ++out.io_errors;
+          cache_path.clear();
+          break;
       }
     }
 
@@ -427,7 +396,6 @@ PointRun run_sweep_point(const BackendFactory& factory,
         ++out.io_errors;
       }
     }
-    record_in_journal(journal, key, out);
   });
   return out;
 }
@@ -463,13 +431,11 @@ struct SweepEngine::Impl {
   std::size_t flushed = 0;    ///< points merged into the global run log
   std::size_t executed = 0;   ///< cache misses + tasks actually run
   std::size_t cache_hits = 0;
-  std::size_t journal_hits = 0;
   std::size_t quarantined = 0;
   std::uint64_t cache_io_errors = 0;
   bool io_warning_emitted = false;
   bool stop = false;
   std::vector<std::thread> workers;
-  sweep::SweepJournal journal;
 };
 
 SweepEngine::SweepEngine(BackendFactory factory, SweepOptions options)
@@ -478,13 +444,7 @@ SweepEngine::SweepEngine(BackendFactory factory, SweepOptions options)
       jobs_(options_.jobs != 0
                 ? options_.jobs
                 : std::max(1u, std::thread::hardware_concurrency())),
-      impl_(std::make_unique<Impl>()) {
-  if (!options_.journal_path.empty() && options_.replay_point < 0) {
-    if (!impl_->journal.open(options_.journal_path)) {
-      ++impl_->cache_io_errors;  // degrade: run unjournaled, warn at drain()
-    }
-  }
-}
+      impl_(std::make_unique<Impl>()) {}
 
 SweepEngine::~SweepEngine() {
   {
@@ -549,8 +509,6 @@ void SweepEngine::worker_loop() {
       if (run.status == PointStatus::kOk) {
         if (run.from_cache) {
           ++impl_->cache_hits;
-        } else if (run.from_journal) {
-          ++impl_->journal_hits;
         } else {
           ++impl_->executed;
         }
@@ -579,10 +537,9 @@ PointRun SweepEngine::execute_point(const Point& p) {
     run_counted(out, [&] { p.task(p.seed, out.log); });
     return out;
   } else {
-    // Replay bypasses cache and journal entirely: the point must re-execute.
+    // Replay bypasses the cache entirely: the point must re-execute.
     return run_sweep_point(factory_, p.config, p.seed,
-                           replaying ? std::string() : options_.cache_dir,
-                           replaying ? nullptr : &impl_->journal);
+                           replaying ? std::string() : options_.cache_dir);
   }
   count_finished(out);
   return out;
@@ -601,14 +558,12 @@ void SweepEngine::drain() {
     }
     p.run.log.clear();
   }
-  const std::uint64_t io_errors =
-      impl_->cache_io_errors + impl_->journal.io_errors();
-  if (io_errors > 0 && !impl_->io_warning_emitted) {
+  if (impl_->cache_io_errors > 0 && !impl_->io_warning_emitted) {
     impl_->io_warning_emitted = true;
     std::fprintf(stderr,
-                 "warning: sweep: %llu cache/journal I/O error(s); affected "
-                 "points ran uncached (results are unaffected)\n",
-                 static_cast<unsigned long long>(io_errors));
+                 "warning: sweep: %llu cache I/O error(s); affected points "
+                 "ran uncached (results are unaffected)\n",
+                 static_cast<unsigned long long>(impl_->cache_io_errors));
   }
 }
 
@@ -651,8 +606,6 @@ PointOutcome SweepEngine::outcome(std::size_t index) const {
   out.status = p.run.status;
   out.message = p.run.message;
   out.seed = p.seed;
-  out.from_cache = p.run.from_cache;
-  out.from_journal = p.run.from_journal;
   return out;
 }
 
@@ -684,7 +637,7 @@ std::size_t SweepEngine::submitted_points() const {
 
 std::size_t SweepEngine::ok_points() const {
   const std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->executed + impl_->cache_hits + impl_->journal_hits;
+  return impl_->executed + impl_->cache_hits;
 }
 
 std::size_t SweepEngine::executed_points() const {
@@ -697,14 +650,9 @@ std::size_t SweepEngine::cache_hits() const {
   return impl_->cache_hits;
 }
 
-std::size_t SweepEngine::journal_hits() const {
-  const std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->journal_hits;
-}
-
 std::uint64_t SweepEngine::cache_io_errors() const {
   const std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->cache_io_errors + impl_->journal.io_errors();
+  return impl_->cache_io_errors;
 }
 
 std::size_t SweepEngine::quarantined_files() const {

@@ -18,7 +18,9 @@
 //  * With a result cache attached (SweepOptions::cache_dir), already-computed
 //    points are loaded from disk bit-exactly (doubles round-trip through
 //    their bit patterns), so warm-cache reruns emit byte-identical reports
-//    while simulating nothing.
+//    while simulating nothing. Each point is published the moment it
+//    finishes (sweep_io.hpp), so a rerun after a SIGKILL or SIGINT runs only
+//    the points that had not finished.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,6 @@
 #include <vector>
 
 #include "bench_core/backend.hpp"
-#include "bench_core/sweep_journal.hpp"
 
 namespace am::bench {
 
@@ -59,12 +60,11 @@ std::string jobs_trace_conflict(std::int64_t jobs, bool trace_requested);
 /// it surfaces as a degraded table row and a failed_points report entry while
 /// every other point completes normally.
 enum class PointStatus : std::uint8_t {
-  kOk,          ///< measured (or served from cache/journal)
-  kTimeout,     ///< sim::PointTimeout — watchdog budget or livelock
-  kSimError,    ///< simulator/backend/task threw
-  kCacheError,  ///< cache I/O failure escalated (IoFaults::escalate_read)
-  kCancelled,   ///< cancel requested (SIGINT) before the point started
-  kSkipped,     ///< not this point (replay mode runs exactly one index)
+  kOk,         ///< measured (or served from the result cache)
+  kTimeout,    ///< sim::PointTimeout — watchdog budget or livelock
+  kSimError,   ///< simulator/backend/task threw
+  kCancelled,  ///< cancel requested (SIGINT) before the point started
+  kSkipped,    ///< not this point (replay mode runs exactly one index)
 };
 
 const char* to_string(PointStatus s) noexcept;
@@ -74,8 +74,6 @@ struct PointOutcome {
   PointStatus status = PointStatus::kOk;
   std::string message;  ///< one-line failure description; empty when ok
   std::uint64_t seed = 0;
-  bool from_cache = false;
-  bool from_journal = false;
 };
 
 /// Report-facing record of a point that did not produce a measurement.
@@ -102,38 +100,33 @@ struct PointRun {
   /// unless ok. SweepEngine flushes them into the run log at drain().
   std::vector<RecordedRun> log;
   bool from_cache = false;
-  bool from_journal = false;
-  std::uint64_t io_errors = 0;  ///< cache/journal I/O failures survived
+  std::uint64_t io_errors = 0;  ///< cache I/O failures survived
   bool quarantined = false;     ///< a bad cache file was moved aside
 };
 
 /// The one body of a sweep point, run by SweepEngine's pool workers and
-/// inline by the service's simulate. Serves the point from @p journal (null
-/// or unopened = none) or the disk result cache @p cache_dir ("" = none),
-/// quarantining a corrupt or mismatched cache file; otherwise runs it on
-/// factory(@p seed) and publishes the result to both (a lost write is
-/// counted, not fatal). Maps what the run throws to a PointStatus, never
-/// throws, never writes the process-wide run log, and counts the point in
-/// the am_sweep_* families.
+/// inline by the service's simulate. Serves the point from the disk result
+/// cache @p cache_dir ("" = none), quarantining a corrupt or mismatched
+/// file; otherwise runs it on factory(@p seed) and publishes the result
+/// there (a failed read or a lost write is counted, not fatal: the point
+/// runs uncached). Maps what the run throws to a PointStatus, never throws,
+/// never writes the process-wide run log, and counts the point in the
+/// am_sweep_* families.
 PointRun run_sweep_point(const BackendFactory& factory,
                          const WorkloadConfig& config, std::uint64_t seed,
-                         const std::string& cache_dir,
-                         sweep::SweepJournal* journal);
+                         const std::string& cache_dir);
 
 struct SweepOptions {
   /// Pool width. 0 = hardware_concurrency, 1 = serial (same seeds/results).
   unsigned jobs = 0;
   /// On-disk result cache directory; empty disables caching. Created on
-  /// first use.
+  /// first use. Also the crash-resume store: a rerun after SIGKILL/SIGINT
+  /// serves every point that finished before it.
   std::string cache_dir;
   /// Base seed for per-point seed derivation (--base-seed).
   std::uint64_t base_seed = 1;
-  /// Crash-safe completed-point journal (--sweep-journal); empty disables.
-  /// See sweep_journal.hpp — a rerun after SIGKILL/SIGINT skips journaled
-  /// points even with the result cache disabled.
-  std::string journal_path;
-  /// When >= 0, run exactly this submission index (serially, bypassing cache
-  /// and journal) and mark every other point kSkipped — the replay command
+  /// When >= 0, run exactly this submission index (serially, bypassing the
+  /// cache) and mark every other point kSkipped — the replay command
   /// printed for failed points (--replay-point).
   std::int64_t replay_point = -1;
 };
@@ -164,7 +157,7 @@ class SweepEngine {
   /// flushes the recorded runs of the ok points into the process-wide run
   /// log in submission order. Never rethrows point failures — inspect
   /// outcome()/failed_points(). Emits a once-per-sweep stderr warning when
-  /// cache/journal I/O errors degraded the sweep. More points may be
+  /// cache I/O errors degraded the sweep. More points may be
   /// submitted afterwards.
   void drain();
 
@@ -189,10 +182,8 @@ class SweepEngine {
   std::size_t executed_points() const;
   /// Points served from the result cache so far.
   std::size_t cache_hits() const;
-  /// Points served from the crash-recovery journal so far.
-  std::size_t journal_hits() const;
-  /// Cache/journal I/O failures survived so far (the sweep degraded to
-  /// uncached/unjournaled execution instead of failing).
+  /// Cache I/O failures survived so far (the sweep degraded to uncached
+  /// execution instead of failing).
   std::uint64_t cache_io_errors() const;
   /// Corrupt or key-mismatched cache files moved to <cache_dir>/quarantine/.
   std::size_t quarantined_files() const;

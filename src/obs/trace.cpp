@@ -51,7 +51,6 @@ void TextTraceSink::on_event(const TraceEvent& e) {
           << " line=" << e.line << '\n';
       break;
     case TraceEventKind::kGrant:
-      // Historical Machine::set_trace format (plus the queue depth).
       os_ << e.time << " grant line=" << e.line << " -> core" << e.core << ' '
           << supply_name(e.supply) << " xfer=" << e.xfer_cycles
           << " q=" << e.queue_depth << '\n';

@@ -4,10 +4,10 @@
 // which core held a line, how long waiters queued, which supply class
 // served each transfer. TraceSink is the typed seam that exposes that
 // process: the Machine emits one TraceEvent per protocol step and a sink
-// renders them — as human-readable text (TextTraceSink, the historical
-// `set_trace` format) or as Chrome trace-event JSON (ChromeTraceSink)
-// loadable in Perfetto / chrome://tracing, with one track per core, one
-// per touched line, and flow arrows linking each request to its grant.
+// renders them — as human-readable text (TextTraceSink) or as Chrome
+// trace-event JSON (ChromeTraceSink) loadable in Perfetto /
+// chrome://tracing, with one track per core, one per touched line, and
+// flow arrows linking each request to its grant.
 //
 // The layer sits below the simulator: it depends only on POD identifiers
 // (core/line ids are plain integers here), so am_sim can link against it
@@ -75,9 +75,10 @@ class TraceSink {
   virtual void on_run_end() {}
 };
 
-/// Human-readable one-line-per-event sink; grant/done lines keep the
-/// historical `Machine::set_trace` format so existing tooling and tests
-/// continue to match.
+/// Human-readable one-line-per-event sink. Grant and done lines keep a
+/// fixed format that tests and tooling match:
+///   <time> grant line=<id> -> core<c> <supply> xfer=<cy> q=<depth>
+///   <time> done  core<c> <prim> line=<id> ok=<0|1> val=<v>
 class TextTraceSink final : public TraceSink {
  public:
   explicit TextTraceSink(std::ostream& os) : os_(os) {}

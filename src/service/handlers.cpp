@@ -7,7 +7,7 @@
 
 #include "bench_core/sim_backend.hpp"
 #include "bench_core/sweep.hpp"
-#include "bench_core/sweep_journal.hpp"
+#include "bench_core/sweep_io.hpp"
 #include "common/base64.hpp"
 #include "common/json.hpp"
 #include "guest/runner.hpp"
@@ -176,8 +176,7 @@ void ServiceCore::append_metrics(obs::metrics::PromWriter& w) const {
            cache.evictions);
 }
 
-ServiceCore::HandleResult ServiceCore::handle(const Request& r,
-                                              const RequestContext* ctx) {
+HandleResult ServiceCore::handle(const Request& r, const RequestContext* ctx) {
   HandleResult out;
   if (r.kind == RequestKind::kPing) {
     out.response = make_result_response(r, "{\"pong\":true}");
@@ -374,7 +373,7 @@ std::string run_simulate(const PointQuery& q, const std::string& disk_dir,
         if (trace != nullptr) backend->set_sink(trace);
         return backend;
       },
-      simulate_workload(q), simulate_seed(q), disk_dir, nullptr);
+      simulate_workload(q), simulate_seed(q), disk_dir);
   if (point.io_errors > 0) {
     std::fprintf(stderr, "warning: simulate: %llu disk-tier I/O error(s); "
                  "the point ran uncached\n",

@@ -118,10 +118,6 @@ class ServiceCore final : public RequestHandler {
  public:
   explicit ServiceCore(ServiceConfig config);
 
-  /// Back-compat alias: callers historically named the result through the
-  /// class (ServiceCore::HandleResult).
-  using HandleResult = am::service::HandleResult;
-
   /// Executes @p r (any kind except kStats/kMetrics, which need server-wide
   /// state and are answered by the Server). Never throws: failures become
   /// error envelopes. @p ctx is optional observability context; it never

@@ -394,7 +394,9 @@ bool Server::answer(const Connection& conn, std::string_view line) {
     }
   }
 
-  const bool written = write_all(conn.fd, response);
+  // A response the peer never received was not served: it takes no count,
+  // no latency sample and no slow-request line, and the caller hangs up.
+  if (!write_all(conn.fd, response)) return false;
   const double latency_us =
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - t0)
@@ -414,7 +416,7 @@ bool Server::answer(const Connection& conn, std::string_view line) {
                  conn.id, latency_us, ok ? "true" : "false",
                  config_.slow_request_us);
   }
-  return written;
+  return true;
 }
 
 void Server::record_request(RequestKind kind, bool parsed, bool ok,

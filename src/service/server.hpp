@@ -126,8 +126,8 @@ class Server {
   /// order. True when the connection was re-armed; false when it must be
   /// closed (EOF, reset, failed write, oversized line or drain).
   bool serve(Connection& conn);
-  /// Answers one request line; false when the response could not be
-  /// written.
+  /// Answers one request line and records it; false when the response
+  /// could not be written (then nothing is recorded).
   bool answer(const Connection& conn, std::string_view line);
   void record_request(RequestKind kind, bool parsed, bool ok, bool cache_hit,
                       double latency_us, std::uint32_t conn_id,

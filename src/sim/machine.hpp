@@ -36,7 +36,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
@@ -170,17 +169,7 @@ class Machine {
   /// one obs::TraceEvent per protocol step (issue, grant, op-done, retry,
   /// invalidate, evict); with no sink attached the hot path pays a single
   /// pointer test per step and nothing else.
-  void set_sink(obs::TraceSink* sink) noexcept {
-    sink_ = sink;
-    owned_sink_.reset();
-  }
-
-  /// Back-compat text tracing: wraps @p os in an obs::TextTraceSink owned by
-  /// the machine (nullptr disables). Grant/done lines keep the historical
-  /// format:
-  ///   <time> grant line=<id> -> core<c> <supply> xfer=<cy> q=<depth>
-  ///   <time> done  core<c> <prim> line=<id> ok=<0|1> val=<v>
-  void set_trace(std::ostream* os);
+  void set_sink(obs::TraceSink* sink) noexcept { sink_ = sink; }
 
   /// Enables per-line contention profiling; results appear in
   /// RunStats::line_profiles of subsequent run() calls (hottest first).
@@ -570,7 +559,6 @@ class Machine {
   std::vector<CoreId> scratch_waiters_;  ///< ScheduleHook::pick argument
 
   obs::TraceSink* sink_ = nullptr;
-  std::unique_ptr<obs::TraceSink> owned_sink_;  ///< set_trace() compat shim
   ScheduleHook* hook_ = nullptr;
   std::uint64_t next_req_id_ = 0;
 

@@ -20,7 +20,7 @@
 #include "bench_core/report.hpp"
 #include "bench_core/sim_backend.hpp"
 #include "bench_core/sweep.hpp"
-#include "bench_core/sweep_journal.hpp"
+#include "bench_core/sweep_io.hpp"
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
 
@@ -468,107 +468,6 @@ TEST(SweepCancel, PreCancelledSweepDrainsWithAllPointsCancelled) {
   clear_run_log();
 }
 
-// --- crash-recovery journal --------------------------------------------------
-
-MeasuredRun tiny_run(std::uint64_t mark) {
-  MeasuredRun r;
-  r.backend = "sim";
-  r.machine = "test";
-  r.duration_cycles = 1000.0;
-  ThreadResult t;
-  t.ops = mark;
-  r.threads.push_back(t);
-  return r;
-}
-
-TEST(SweepJournalFile, TornTailToleratedAndCompacted) {
-  TempDir dir("journal");
-  std::filesystem::create_directories(dir.path);
-  const std::string path = (dir.path / "sweep.journal").string();
-  {
-    sweep::SweepJournal j;
-    ASSERT_TRUE(j.open(path));
-    EXPECT_EQ(j.loaded_entries(), 0u);
-    ASSERT_TRUE(j.append("k1", tiny_run(1)));
-    ASSERT_TRUE(j.append("k2", tiny_run(2)));
-  }
-  // Crash mid-append: a torn, newline-less JSON stump at the tail.
-  {
-    std::ofstream out(path, std::ios::app);
-    out << "{\"v\":\"am-sweep-cache/1\",\"key\":\"k3\",\"backend";
-  }
-  {
-    sweep::SweepJournal j;
-    ASSERT_TRUE(j.open(path));
-    EXPECT_EQ(j.loaded_entries(), 2u) << "torn tail must not kill the prefix";
-    const auto r1 = j.lookup("k1");
-    ASSERT_TRUE(r1.has_value());
-    EXPECT_EQ(r1->threads.at(0).ops, 1u);
-    EXPECT_FALSE(j.lookup("k3").has_value());
-    // The load compacted the torn tail away and the file stays appendable.
-    ASSERT_TRUE(j.append("k3", tiny_run(3)));
-  }
-  {
-    sweep::SweepJournal j;
-    ASSERT_TRUE(j.open(path));
-    EXPECT_EQ(j.loaded_entries(), 3u);
-  }
-  std::ifstream in(path);
-  std::string first;
-  std::getline(in, first);
-  EXPECT_EQ(first, sweep::kJournalVersion);
-}
-
-TEST(SweepJournalFile, ForeignFileSetAsideNotDestroyed) {
-  TempDir dir("journal_foreign");
-  std::filesystem::create_directories(dir.path);
-  const std::string path = (dir.path / "notes.txt").string();
-  {
-    std::ofstream out(path);
-    out << "user data, not a journal\n";
-  }
-  sweep::SweepJournal j;
-  ASSERT_TRUE(j.open(path));
-  EXPECT_EQ(j.loaded_entries(), 0u);
-  std::ifstream aside(path + ".corrupt");
-  std::string line;
-  std::getline(aside, line);
-  EXPECT_EQ(line, "user data, not a journal")
-      << "a non-journal file must be preserved as <path>.corrupt";
-}
-
-TEST(SweepJournalFile, RerunSkipsJournaledPointsWithoutCache) {
-  TempDir dir("journal_rerun");
-  std::filesystem::create_directories(dir.path);
-  const std::string path = (dir.path / "sweep.journal").string();
-  const std::size_t n = sample_grid().size();
-
-  auto run_with_journal = [&](std::size_t* executed, std::size_t* jhits) {
-    clear_run_log();
-    SweepOptions opts;
-    opts.jobs = 3;
-    opts.base_seed = 42;
-    opts.journal_path = path;  // note: no cache_dir — journal alone
-    SweepEngine engine(test_sim_factory(), opts);
-    for (const WorkloadConfig& w : sample_grid()) engine.submit(w);
-    engine.drain();
-    *executed = engine.executed_points();
-    *jhits = engine.journal_hits();
-    return report_of_run_log();
-  };
-
-  std::size_t executed = 0, jhits = 0;
-  const std::string first = run_with_journal(&executed, &jhits);
-  EXPECT_EQ(executed, n);
-  EXPECT_EQ(jhits, 0u);
-
-  const std::string second = run_with_journal(&executed, &jhits);
-  EXPECT_EQ(executed, 0u) << "journaled rerun must simulate zero points";
-  EXPECT_EQ(jhits, n);
-  EXPECT_EQ(first, second) << "journal replay must be bit-exact";
-  clear_run_log();
-}
-
 // --- cache self-healing ------------------------------------------------------
 
 TEST(SweepCacheHealing, CorruptCacheFileQuarantinedAndRecomputed) {
@@ -615,31 +514,6 @@ TEST(SweepCacheHealing, CorruptCacheFileQuarantinedAndRecomputed) {
   clear_run_log();
 }
 
-TEST(SweepCacheHealing, WriteFailuresDegradeAndAreCounted) {
-  TempDir dir("enospc");
-  sweep::IoFaults faults;
-  faults.write_enospc = -1;  // every cache write fails, every retry
-  sweep::set_io_faults(&faults);
-  std::size_t executed = 0, hits = 0;
-  (void)run_grid(2, dir.path.string(), &executed, &hits);
-  sweep::set_io_faults(nullptr);
-  const std::size_t n = sample_grid().size();
-  EXPECT_EQ(executed, n) << "results must not be lost to cache I/O errors";
-
-  // Nothing was cached, so a clean rerun re-executes everything.
-  clear_run_log();
-  SweepOptions opts;
-  opts.jobs = 2;
-  opts.cache_dir = dir.path.string();
-  opts.base_seed = 42;
-  SweepEngine engine(test_sim_factory(), opts);
-  for (const WorkloadConfig& w : sample_grid()) engine.submit(w);
-  engine.drain();
-  EXPECT_EQ(engine.cache_hits(), 0u);
-  EXPECT_EQ(engine.executed_points(), n);
-  clear_run_log();
-}
-
 TEST(SweepCacheHealing, TransientWriteFaultIsRetriedAway) {
   TempDir dir("transient");
   sweep::IoFaults faults;
@@ -658,36 +532,90 @@ TEST(SweepCacheHealing, TransientWriteFaultIsRetriedAway) {
   clear_run_log();
 }
 
-TEST(SweepCacheHealing, EscalatedReadFaultFailsPointsAsCacheError) {
-  TempDir dir("escalate");
-  std::size_t executed = 0, hits = 0;
-  (void)run_grid(1, dir.path.string(), &executed, &hits);  // warm the cache
-  const std::size_t n = sample_grid().size();
-  ASSERT_EQ(executed, n);
+/// One sweep of the sample grid (jobs 2, base seed 42) into @p cache_dir
+/// with @p faults attached: its report and its engine's counters.
+struct FaultedSweep {
+  std::string report;
+  std::size_t executed = 0;
+  std::size_t hits = 0;
+  std::size_t failed = 0;
+  std::uint64_t io_errors = 0;
+};
 
-  sweep::IoFaults faults;
-  faults.read_eio = -1;
-  faults.escalate_read = true;
+FaultedSweep run_faulted(const std::string& cache_dir,
+                         sweep::IoFaults& faults) {
   sweep::set_io_faults(&faults);
   clear_run_log();
   SweepOptions opts;
   opts.jobs = 2;
-  opts.cache_dir = dir.path.string();
+  opts.cache_dir = cache_dir;
   opts.base_seed = 42;
   SweepEngine engine(test_sim_factory(), opts);
   for (const WorkloadConfig& w : sample_grid()) engine.submit(w);
   engine.drain();
   sweep::set_io_faults(nullptr);
-
-  EXPECT_EQ(engine.ok_points(), 0u);
-  EXPECT_GE(engine.cache_io_errors(), n);
-  const auto failed = engine.failed_points();
-  ASSERT_EQ(failed.size(), n);
-  for (const auto& f : failed) {
-    EXPECT_EQ(f.status, PointStatus::kCacheError);
-    EXPECT_NE(f.message.find("cache read failed"), std::string::npos);
-  }
+  FaultedSweep out;
+  out.report = report_of_run_log();
+  out.executed = engine.executed_points();
+  out.hits = engine.cache_hits();
+  out.failed = engine.failed_points().size();
+  out.io_errors = engine.cache_io_errors();
   clear_run_log();
+  return out;
+}
+
+TEST(SweepCacheHealing, PersistentReadFaultRunsThePointUncached) {
+  TempDir dir("read_eio");
+  std::size_t executed = 0, hits = 0;
+  const std::string cold = run_grid(1, dir.path.string(), &executed, &hits);
+  const std::size_t n = sample_grid().size();
+  ASSERT_EQ(executed, n);
+
+  sweep::IoFaults faults;
+  faults.read_eio = -1;  // every read of the warm cache fails, every retry
+  const FaultedSweep run = run_faulted(dir.path.string(), faults);
+  EXPECT_EQ(run.executed, n) << "an unread entry is run instead";
+  EXPECT_EQ(run.hits, 0u);
+  EXPECT_GE(run.io_errors, n);
+  EXPECT_EQ(run.failed, 0u);
+  EXPECT_EQ(run.report, cold);
+}
+
+// Arms @p fault on every publish attempt of a cold sweep: each point keeps
+// its result, and each failed publish leaves neither an entry nor a temp
+// file in the cache directory.
+void expect_failed_publishes_leave_nothing(
+    const char* tag, std::atomic<int> sweep::IoFaults::*fault) {
+  const std::string uncached = run_grid(2, "");
+  TempDir dir(tag);
+  sweep::IoFaults faults;
+  faults.*fault = -1;
+  const FaultedSweep run = run_faulted(dir.path.string(), faults);
+  const std::size_t n = sample_grid().size();
+  EXPECT_EQ(run.executed, n) << "results must not be lost to cache I/O errors";
+  EXPECT_EQ(run.failed, 0u);
+  EXPECT_GE(run.io_errors, n);
+  EXPECT_EQ(run.report, uncached);
+  std::vector<std::string> left;
+  for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
+    left.push_back(e.path().filename().string());
+  }
+  EXPECT_TRUE(left.empty()) << left.size() << " file(s) left, first "
+                            << (left.empty() ? "" : left.front());
+}
+
+TEST(SweepCacheHealing, WriteFailuresDegradeAndAreCounted) {
+  expect_failed_publishes_leave_nothing("enospc",
+                                        &sweep::IoFaults::write_enospc);
+}
+
+TEST(SweepCacheHealing, TornWritePublishesNothingAndKeepsTheResult) {
+  expect_failed_publishes_leave_nothing("torn", &sweep::IoFaults::torn_write);
+}
+
+TEST(SweepCacheHealing, FailedRenamePublishesNothingAndKeepsTheResult) {
+  expect_failed_publishes_leave_nothing("rename",
+                                        &sweep::IoFaults::rename_eio);
 }
 
 // --- replay ------------------------------------------------------------------

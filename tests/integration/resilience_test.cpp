@@ -1,6 +1,7 @@
-// Crash/resume integration test: a sweep SIGKILLed mid-run leaves a valid
-// (possibly torn) journal, and the rerun re-executes only the unfinished
-// points while producing a report byte-identical to an uninterrupted run.
+// Crash/resume integration test: a sweep SIGKILLed mid-run leaves every
+// finished point published in its result cache, and the rerun re-executes
+// only the unfinished points while producing a report byte-identical to an
+// uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -9,7 +10,6 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,7 +28,7 @@ constexpr int kPoints = 10;
 
 // A sim backend that dawdles before each run so the parent can SIGKILL the
 // child mid-sweep. The delay never touches cache_identity() or the result,
-// so slow (child) and fast (rerun) sweeps share journal keys and bytes.
+// so slow (child) and fast (rerun) sweeps share cache keys and bytes.
 class SlowSimBackend final : public ExecutionBackend {
  public:
   SlowSimBackend(std::uint64_t seed, int delay_ms)
@@ -74,16 +74,16 @@ std::vector<WorkloadConfig> grid() {
 
 struct SweepCounts {
   std::size_t executed = 0;
-  std::size_t journal_hits = 0;
+  std::size_t cache_hits = 0;
 };
 
-std::string run_sweep(const std::string& journal_path, int delay_ms,
+std::string run_sweep(const std::string& cache_dir, int delay_ms,
                       SweepCounts* counts = nullptr) {
   clear_run_log();
   SweepOptions opts;
-  opts.jobs = 1;  // deterministic kill point: the journal fills in order
+  opts.jobs = 1;  // deterministic kill point: the cache fills in order
   opts.base_seed = 11;
-  opts.journal_path = journal_path;
+  opts.cache_dir = cache_dir;
   SweepEngine engine(
       [delay_ms](std::uint64_t seed) -> std::unique_ptr<ExecutionBackend> {
         return std::make_unique<SlowSimBackend>(seed, delay_ms);
@@ -93,7 +93,7 @@ std::string run_sweep(const std::string& journal_path, int delay_ms,
   engine.drain();
   if (counts != nullptr) {
     counts->executed = engine.executed_points();
-    counts->journal_hits = engine.journal_hits();
+    counts->cache_hits = engine.cache_hits();
   }
 
   ReportMeta meta;
@@ -109,60 +109,61 @@ std::string run_sweep(const std::string& journal_path, int delay_ms,
   return os.str();
 }
 
-std::size_t journal_entry_count(const std::string& path) {
-  std::ifstream in(path);
-  std::string line;
+// Published entries in @p cache_dir: `<key>.json` files. A temp file left
+// by a kill mid-publish is named `<key>.json.tmp.*` and is not one.
+std::size_t cached_entry_count(const std::filesystem::path& cache_dir) {
+  std::error_code ec;
   std::size_t n = 0;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.front() == '{') ++n;
+  for (const auto& e : std::filesystem::directory_iterator(cache_dir, ec)) {
+    if (e.path().extension() == ".json") ++n;
   }
   return n;
 }
 
-TEST(KillResume, RerunSkipsJournaledPointsAndMatchesByteForByte) {
+TEST(KillResume, RerunSkipsCachedPointsAndMatchesByteForByte) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("am_resilience_" +
                     std::to_string(static_cast<unsigned long>(::getpid())));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  // Uninterrupted baseline with its own journal.
+  // Uninterrupted baseline with its own cache.
   SweepCounts counts;
   const std::string baseline =
-      run_sweep((dir / "baseline.journal").string(), 0, &counts);
+      run_sweep((dir / "baseline").string(), 0, &counts);
   ASSERT_EQ(counts.executed, static_cast<std::size_t>(kPoints));
 
-  const std::string killed_journal = (dir / "killed.journal").string();
+  const std::filesystem::path killed_cache = dir / "killed";
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
     // Child: same sweep, slowed so the parent can kill it mid-run. _exit on
     // the off chance it finishes — the rerun assertions stay valid either
     // way, though the poll below kills it long before.
-    (void)run_sweep(killed_journal, 150);
+    (void)run_sweep(killed_cache.string(), 150);
     ::_exit(0);
   }
 
-  // Wait for ~half the sweep to land in the journal, then SIGKILL.
+  // Wait for ~half the sweep to land in the cache, then SIGKILL.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (journal_entry_count(killed_journal) < kPoints / 2 &&
+  while (cached_entry_count(killed_cache) < kPoints / 2 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ::kill(child, SIGKILL);
   int status = 0;
   ::waitpid(child, &status, 0);
-  ASSERT_GE(journal_entry_count(killed_journal), 1u)
-      << "child never journaled anything; cannot test resume";
+  const std::size_t published = cached_entry_count(killed_cache);
+  ASSERT_GE(published, 1u) << "child never cached anything; cannot test resume";
 
   // Resume: only the unfinished points execute, and the report is
   // byte-identical to the uninterrupted baseline.
-  const std::string resumed = run_sweep(killed_journal, 0, &counts);
-  EXPECT_GE(counts.journal_hits, 1u);
-  EXPECT_EQ(counts.executed + counts.journal_hits,
+  const std::string resumed = run_sweep(killed_cache.string(), 0, &counts);
+  EXPECT_EQ(counts.cache_hits, published);
+  EXPECT_EQ(counts.executed + counts.cache_hits,
             static_cast<std::size_t>(kPoints));
-  EXPECT_EQ(counts.executed, kPoints - counts.journal_hits)
+  EXPECT_EQ(counts.executed, kPoints - counts.cache_hits)
       << "a completed point was re-executed after the crash";
   EXPECT_EQ(resumed, baseline);
 

@@ -770,6 +770,51 @@ TEST(Server, ClientThatNeverReadsNeitherPinsTheWorkerNorWedgesTheDrain) {
   drained.wait();
 }
 
+TEST(Server, ResponseThatCannotBeWrittenIsNotRecorded) {
+  // The client shuts its read side, then sends a ping: on a unix socket the
+  // server's send of the pong fails at once with EPIPE. The server hangs up,
+  // and a reply that never reached the client takes no count and no latency
+  // sample.
+  const std::string path = testing::TempDir() + "/am_serve_unwritten_" +
+                           std::to_string(::getpid()) + ".sock";
+  ServerConfig config;
+  Endpoint unix_ep;
+  unix_ep.kind = Endpoint::Kind::kUnix;
+  unix_ep.path = path;
+  config.listen.push_back(unix_ep);
+  LiveServer live(config);
+  std::string error;
+  const int fd = connect_to(live.endpoint, &error);
+  ASSERT_GE(fd, 0) << error;
+  ASSERT_EQ(::shutdown(fd, SHUT_RD), 0);
+  ASSERT_TRUE(write_all(fd, "{\"kind\":\"ping\"}\n"));
+
+  // A snapshot reads `accepted` after `active`, so only a snapshot taken
+  // after one that saw the accept shows the hang-up.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool accepted = false;
+  bool hung_up = false;
+  while (!hung_up && std::chrono::steady_clock::now() < give_up) {
+    const auto stats = JsonValue::parse(live.server.stats_json());
+    const JsonValue* conns = stats->find("connections");
+    hung_up = accepted && conns->find("active")->as_number() == 0.0;
+    accepted = conns->find("accepted")->as_number() == 1.0;
+    if (!hung_up) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ::close(fd);
+  ASSERT_TRUE(hung_up) << "the server kept the connection its write failed on";
+
+  const auto stats = JsonValue::parse(live.server.stats_json());
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->find("requests")->find("total")->as_number(), 0.0);
+  EXPECT_EQ(stats->find("latency_us")->find("count")->as_number(), 0.0);
+  const auto samples =
+      obs::metrics::parse_prometheus_text(live.server.metrics_text());
+  EXPECT_EQ(obs::metrics::find_sample(samples, "am_server_responses_total"),
+            0.0);
+}
+
 TEST(Server, MetricsDisabledStillAnswersStats) {
   ServerConfig config;
   config.metrics = false;

@@ -32,7 +32,8 @@ struct CollectSink final : obs::TraceSink {
 TEST(Trace, EmitsGrantAndDoneLines) {
   Machine m(test_machine(2));
   std::ostringstream trace;
-  m.set_trace(&trace);
+  obs::TextTraceSink sink(trace);
+  m.set_sink(&sink);
   HighContentionProgram prog(Primitive::kFaa, 0);
   m.run(prog, 2, 0, 2'000);
   const std::string out = trace.str();
@@ -45,8 +46,9 @@ TEST(Trace, EmitsGrantAndDoneLines) {
 TEST(Trace, DisabledByDefaultAndDetachable) {
   Machine m(test_machine(2));
   std::ostringstream trace;
-  m.set_trace(&trace);
-  m.set_trace(nullptr);
+  obs::TextTraceSink sink(trace);
+  m.set_sink(&sink);
+  m.set_sink(nullptr);
   HighContentionProgram prog(Primitive::kFaa, 0);
   m.run(prog, 2, 0, 2'000);
   EXPECT_TRUE(trace.str().empty());
@@ -55,7 +57,8 @@ TEST(Trace, DisabledByDefaultAndDetachable) {
 TEST(Trace, ValuesInTraceAreMonotoneForFaa) {
   Machine m(test_machine(1));
   std::ostringstream trace;
-  m.set_trace(&trace);
+  obs::TextTraceSink sink(trace);
+  m.set_sink(&sink);
   HighContentionProgram prog(Primitive::kFaa, 0);
   m.run(prog, 1, 0, 1'000);
   // Each "done ... val=k" line increments k.
