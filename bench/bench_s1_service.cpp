@@ -22,6 +22,7 @@
 // external one.
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -32,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -262,7 +264,8 @@ int main(int argc, char** argv) {
   cli.add_flag("target-qps",
                "paced mode: aggregate offered rate (0 = saturation sweep)",
                "0", CliParser::FlagKind::kDouble);
-  cli.add_flag("request", "request kind to issue: predict|advise|ping",
+  cli.add_flag("request",
+               "request kind to send: predict|advise|simulate|ping",
                "predict");
   cli.add_flag("machine", "sim preset named in requests", "xeon");
   cli.add_flag("prim", "primitive named in requests", "FAA");
@@ -306,6 +309,16 @@ int main(int argc, char** argv) {
       am::sim::kPresetNames.end()) {
     std::cerr << "bench_s1_service: unknown --machine=" << cli.get("machine")
               << " (want " << am::sim::preset_names(" | ") << ")\n";
+    return 2;
+  }
+  // build_requests writes one line shape (machine, mode, prim, threads,
+  // work); these are the kinds that line is a valid request of.
+  constexpr std::array<std::string_view, 4> kRequestKinds = {
+      "predict", "advise", "simulate", "ping"};
+  if (std::ranges::find(kRequestKinds, cli.get("request")) ==
+      kRequestKinds.end()) {
+    std::cerr << "bench_s1_service: unknown --request=" << cli.get("request")
+              << " (want predict | advise | simulate | ping)\n";
     return 2;
   }
 

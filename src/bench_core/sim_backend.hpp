@@ -21,8 +21,8 @@ struct SimBackendOptions {
 };
 
 /// The cache_identity() string a SimBackend built from @p config/@p options
-/// would report, without constructing one. Lets a reader address the disk
-/// cache without building the backend (service::cached_simulate_result).
+/// would report, without constructing one, so a caller can address the
+/// disk cache without building the backend.
 inline std::string sim_backend_cache_identity(const sim::MachineConfig& config,
                                               const SimBackendOptions& options) {
   return "sim{" + config.fingerprint() +

@@ -1,16 +1,10 @@
 // Deterministic fault injection for the serving fleet.
 //
-// Two surfaces, same injectable style as sim::FaultInjection and
-// sweep::IoFaults:
-//   - one-shot counters tests arm directly (kill_worker, hang_worker,
-//     drop_connection, delay_response): each is consumed once per matching
-//     operation, 0 injects nothing, a negative value injects on every
-//     operation;
-//   - a periodic schedule the am_fleet CLI arms (--chaos-kill-every-ms,
-//     --chaos-hang-every-ms) that the supervisor's health thread drives, so
-//     a chaos-smoke run needs no external process sending signals.
-// The struct is shared by reference between test/CLI and the fleet; all
-// fields are safe to poke while the fleet is live.
+// A periodic schedule the am_fleet CLI (--chaos-kill-every-ms,
+// --chaos-hang-every-ms) and tests arm, which the supervisor's health
+// thread drives, so a chaos-smoke run needs no external process sending
+// signals. The struct is shared by reference between test/CLI and the
+// fleet; all fields are safe to poke while the fleet is live.
 #pragma once
 
 #include <atomic>
@@ -19,35 +13,11 @@
 namespace am::fleet {
 
 struct ChaosConfig {
-  // --- one-shot injectable counters (tests) --------------------------------
-  std::atomic<int> kill_worker{0};      ///< SIGKILL a worker at next tick
-  std::atomic<int> hang_worker{0};      ///< SIGSTOP a worker at next tick
-  std::atomic<int> drop_connection{0};  ///< router drops the worker conn mid-request
-  std::atomic<int> delay_response{0};   ///< router delays a response by delay_ms
-
-  /// Milliseconds each injected delay_response sleeps before answering.
-  std::atomic<int> delay_ms{50};
-
-  // --- periodic schedule (CLI chaos driver) --------------------------------
-  std::atomic<int> kill_every_ms{0};  ///< 0 = off
-  std::atomic<int> hang_every_ms{0};  ///< 0 = off
+  std::atomic<int> kill_every_ms{0};  ///< SIGKILL a live worker; 0 = off
+  std::atomic<int> hang_every_ms{0};  ///< SIGSTOP a live worker; 0 = off
 
   /// Seeds the deterministic victim-selection sequence.
   std::atomic<std::uint64_t> seed{1};
-
-  /// Consumes one injection from @p counter; true when the operation must
-  /// fail. Negative counters always fire (and are never decremented).
-  static bool consume(std::atomic<int>& counter) noexcept {
-    int v = counter.load(std::memory_order_relaxed);
-    while (v != 0) {
-      if (v < 0) return true;
-      if (counter.compare_exchange_weak(v, v - 1,
-                                        std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  }
 
   /// splitmix64 step over `seed`: the shared deterministic victim picker.
   std::uint64_t next_random() noexcept {

@@ -1,8 +1,6 @@
 #include "fleet/router.hpp"
 
-#include <chrono>
 #include <sstream>
-#include <thread>
 
 #include "common/json.hpp"
 #include "obs/prometheus.hpp"
@@ -67,28 +65,11 @@ std::optional<std::string> Router::forward(std::size_t worker,
     }
   }
 
-  ChaosConfig* chaos = config_.chaos;
-  if (chaos != nullptr && ChaosConfig::consume(chaos->drop_connection)) {
-    // Mid-request connection loss: the line may or may not reach the
-    // worker; either way this attempt fails and the caller retries a
-    // sibling (requests are idempotent).
-    conn.client.send_line(std::string(raw));
-    conn.client.close();
-    chaos_drops_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-
   std::string error;
   const auto response = conn.client.roundtrip(std::string(raw), &error);
   if (!response.has_value()) {
     conn.client.close();  // poisoned: mid-stream state is unrecoverable
     return std::nullopt;
-  }
-
-  if (chaos != nullptr && ChaosConfig::consume(chaos->delay_response)) {
-    chaos_delays_.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        chaos->delay_ms.load(std::memory_order_relaxed)));
   }
 
   {
@@ -98,34 +79,18 @@ std::optional<std::string> Router::forward(std::size_t worker,
   return response;
 }
 
-std::string Router::stale_response(const service::Request& r,
-                                   const std::string& memo_key) {
-  if (!r.cacheable()) return "";
-  if (auto hit = stale_.get(memo_key)) return *hit;
-
-  // Second level: simulate results live in the shared sweep disk cache,
-  // read under the key and file a worker's run_simulate writes and rendered
-  // through the same serializer — byte-identical to a worker-served hit.
-  if (r.kind != service::RequestKind::kSimulate) return "";
-  const std::string result = service::cached_simulate_result(
-      r.point, supervisor_.config().sweep_cache_dir);
-  return result.empty() ? "" : service::make_result_response(r, result);
-}
-
 service::HandleResult Router::promote(const service::Request& r) {
   service::HandleResult out;
   if (r.kind != service::RequestKind::kSimulate) return out;
   const FleetConfig& fleet = supervisor_.config();
   if (fleet.sweep_cache_dir.empty()) return out;
 
-  // Single writer: promotions run one at a time under promote_mu_, so
-  // concurrent clients of a dark fleet cannot race the same point, and each
-  // disk entry is published atomically (write-fsync-rename) — a recovering
-  // worker either sees the whole entry or none of it, never a torn file.
   // run_simulate is what a worker answers with, under the workers' cycle
   // budget, so a promoted response (success or structured error) is
-  // byte-identical to a worker-served one.
-  std::lock_guard<std::mutex> lock(promote_mu_);
+  // byte-identical to a worker-served one. Promotions run concurrently, as
+  // a worker's own simulates do on the same directory: each writer
+  // publishes through its own temp file and a rename, so a reader sees a
+  // whole entry or none.
   std::string error;
   const std::string result = service::run_simulate(
       r.point, fleet.sweep_cache_dir, fleet.max_point_cycles, nullptr, &error);
@@ -162,20 +127,13 @@ service::HandleResult Router::handle(const service::Request& r,
   const std::size_t candidates = std::min(
       order.size(), static_cast<std::size_t>(1 + std::max(0, config_.failover_retries)));
 
-  bool any_full = false;
   for (std::size_t c = 0; c < candidates; ++c) {
     const std::size_t worker = order[c];
-    const Admit verdict = supervisor_.try_acquire(worker);
-    if (verdict == Admit::kFull) {
-      any_full = true;
-      continue;
-    }
-    if (verdict == Admit::kDown) continue;
+    if (supervisor_.state(worker) != WorkerState::kUp) continue;
 
     const auto response = forward(worker, raw);
-    supervisor_.release(worker);
     if (!response.has_value()) {
-      supervisor_.report_transport_failure(worker);
+      supervisor_.report_transport_failure();
       continue;
     }
     if (c > 0) failovers_.fetch_add(1, std::memory_order_relaxed);
@@ -191,37 +149,24 @@ service::HandleResult Router::handle(const service::Request& r,
     return out;
   }
 
-  // Every candidate refused. Stale beats an error; overloaded beats
-  // unavailable (the client should back off, not re-resolve).
-  const std::string stale = stale_response(r, memo_key);
-  if (!stale.empty()) {
-    stale_serves_.fetch_add(1, std::memory_order_relaxed);
-    out.response = stale;
-    if (out.response.back() != '\n') out.response += '\n';
-    out.cache_hit = true;
-    return out;
-  }
-  // Promotion: every worker is down (not merely full — a full fleet sheds
-  // so clients back off) and the shared disk tier is configured, so the
-  // front computes the simulate point itself. Answering also writes the
-  // disk entry, warming the cache every restarted worker shares.
-  if (!any_full) {
-    service::HandleResult promoted = promote(r);
-    if (!promoted.response.empty()) {
-      promoted_.fetch_add(1, std::memory_order_relaxed);
-      if (r.cacheable() && promoted.ok && config_.stale_capacity > 0) {
-        stale_.put(memo_key, promoted.response);
-      }
-      return promoted;
+  // No candidate answered. The router's own copy beats the disk tier, and
+  // the disk tier (an entry read, or a point computed and published) beats
+  // an error.
+  if (r.cacheable()) {
+    if (auto stale = stale_.get(memo_key)) {
+      stale_serves_.fetch_add(1, std::memory_order_relaxed);
+      out.response = std::move(*stale);
+      out.cache_hit = true;
+      return out;
     }
   }
-  if (any_full) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    out.response = service::make_error_response(
-        r.id, service::errcode::kOverloaded,
-        "fleet at capacity; retry with backoff");
-    out.ok = false;
-    return out;
+  service::HandleResult promoted = promote(r);
+  if (!promoted.response.empty()) {
+    promoted_.fetch_add(1, std::memory_order_relaxed);
+    if (r.cacheable() && promoted.ok && config_.stale_capacity > 0) {
+      stale_.put(memo_key, promoted.response);
+    }
+    return promoted;
   }
   unavailable_.fetch_add(1, std::memory_order_relaxed);
   out.response = service::make_error_response(
@@ -239,12 +184,9 @@ void Router::append_stats(JsonWriter& w) const {
   w.kv("restarts", supervisor_.total_restarts());
   w.kv("forwarded", forwarded_.load(std::memory_order_relaxed));
   w.kv("failovers", failovers_.load(std::memory_order_relaxed));
-  w.kv("shed", shed_.load(std::memory_order_relaxed));
   w.kv("stale_serves", stale_serves_.load(std::memory_order_relaxed));
   w.kv("unavailable", unavailable_.load(std::memory_order_relaxed));
   w.kv("promoted", promoted_.load(std::memory_order_relaxed));
-  w.kv("chaos_drops", chaos_drops_.load(std::memory_order_relaxed));
-  w.kv("chaos_delays", chaos_delays_.load(std::memory_order_relaxed));
   w.key("per_worker").begin_array();
   for (const auto& s : status) {
     w.begin_object();
@@ -252,7 +194,6 @@ void Router::append_stats(JsonWriter& w) const {
     w.kv("pid", static_cast<std::int64_t>(s.pid));
     w.kv("restarts", s.restarts);
     w.kv("epoch", s.epoch);
-    w.kv("inflight", static_cast<std::int64_t>(s.inflight));
     w.kv("consecutive_failures",
          static_cast<std::int64_t>(s.consecutive_failures));
     w.end_object();
@@ -268,24 +209,17 @@ void Router::append_metrics(obs::metrics::PromWriter& w) const {
   w.single("am_fleet_failovers_total",
            "Forwards handed off to a ring successor (owner down or failed)",
            kCounter, failovers());
-  w.single("am_fleet_shed_total",
-           "Requests answered `overloaded` by admission control", kCounter,
-           shed());
   w.single("am_fleet_stale_serves_total",
-           "Requests served stale (router LRU or shared disk cache)",
-           kCounter, stale_serves());
+           "Requests served stale from the router LRU", kCounter,
+           stale_serves());
   w.single("am_fleet_unavailable_total",
            "Requests answered `unavailable` (no worker, no stale copy)",
            kCounter, unavailable());
   w.single("am_fleet_promoted_total",
-           "Simulate requests computed at the front and promoted into the "
-           "shared sweep disk cache (every worker down)",
+           "Simulate requests answered at the front from the shared sweep "
+           "disk cache, read or computed and published (every candidate "
+           "down)",
            kCounter, promoted());
-  w.single("am_fleet_chaos_drops_total",
-           "Chaos-injected dropped worker connections", kCounter,
-           chaos_drops_.load(std::memory_order_relaxed));
-  w.single("am_fleet_chaos_delays_total", "Chaos-injected response delays",
-           kCounter, chaos_delays_.load(std::memory_order_relaxed));
   w.single("am_fleet_restarts_total", "Worker respawns after a crash or hang",
            kCounter, supervisor_.total_restarts());
   w.single("am_fleet_worker_deaths_total",

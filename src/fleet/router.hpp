@@ -11,21 +11,17 @@
 // single-worker run (id echo included).
 //
 // Degradation ladder per request:
-//   1. owner up + under cap      -> forward
-//   2. owner down/full           -> bounded hand-off to ring successors
-//   3. every candidate down      -> stale-while-revalidate: last good
-//                                   response from the router's LRU, else
-//                                   (simulate) the shared disk cache
-//   4. stale miss, all down      -> promotion (simulate + --sweep-cache):
-//                                   the front computes the point itself
-//                                   with service::run_simulate, the call a
-//                                   worker answers with, which writes the
-//                                   shared disk entry and so warms every
-//                                   recovering worker
-//   5. stale miss, someone full  -> structured `overloaded` (shed)
-//   6. stale miss, all down      -> structured `unavailable`
-// Admission is per-worker (Supervisor::try_acquire): a slow worker sheds
-// its own shard's load instead of stalling the fleet.
+//   1. owner up                 -> forward
+//   2. owner down or failed     -> bounded hand-off to ring successors
+//   3. every candidate down     -> stale-while-revalidate: the last good
+//                                  response from the router's LRU
+//   4. LRU miss (simulate with  -> the disk tier at the front: the front
+//      --sweep-cache)              answers with service::run_simulate, the
+//                                  call a worker answers with, which serves
+//                                  the shared disk entry when one exists
+//                                  and otherwise computes the point and
+//                                  publishes it for every recovering worker
+//   5. anything else            -> structured `unavailable`
 //
 // The router's tallies are plain per-instance atomics; append_stats and
 // append_metrics both read them (and the supervisor's), so the "fleet"
@@ -39,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "fleet/chaos.hpp"
 #include "fleet/ring.hpp"
 #include "fleet/supervisor.hpp"
 #include "service/client.hpp"
@@ -56,8 +51,6 @@ struct RouterConfig {
   /// Router-level stale-response LRU (full response lines keyed by
   /// request cache key + id). 0 disables memory-stale serving.
   std::size_t stale_capacity = 4096;
-  /// Fault injection; not owned, may be null (usually the supervisor's).
-  ChaosConfig* chaos = nullptr;
 };
 
 class Router final : public service::RequestHandler {
@@ -88,7 +81,6 @@ class Router final : public service::RequestHandler {
   // --- counters (tests) ----------------------------------------------------
   std::uint64_t forwarded() const noexcept { return forwarded_.load(); }
   std::uint64_t failovers() const noexcept { return failovers_.load(); }
-  std::uint64_t shed() const noexcept { return shed_.load(); }
   std::uint64_t stale_serves() const noexcept { return stale_serves_.load(); }
   std::uint64_t unavailable() const noexcept { return unavailable_.load(); }
   std::uint64_t promoted() const noexcept { return promoted_.load(); }
@@ -104,20 +96,15 @@ class Router final : public service::RequestHandler {
   };
 
   /// One forward attempt. Returns the response line (no '\n') or nullopt on
-  /// transport failure (connect/send/recv/timeout/chaos drop).
+  /// transport failure (connect/send/recv/timeout).
   std::optional<std::string> forward(std::size_t worker, std::string_view raw);
 
-  /// Stale sources in order: router LRU (under @p memo_key), then
-  /// (simulate only) the shared disk cache. Empty when nothing stale exists.
-  std::string stale_response(const service::Request& r,
-                             const std::string& memo_key);
-
-  /// Last-resort compute-at-the-front for simulate when every worker is
-  /// down: service::run_simulate on the fleet's shared --sweep-cache under
-  /// the workers' --max-point-cycles, so the computed point is promoted
-  /// into the disk tier (write-fsync-rename) and recovering workers get a
-  /// warm hit. Serialized — the front is the single writer while the fleet
-  /// is dark. Empty response when promotion does not apply.
+  /// The disk tier at the front, for simulate when every candidate is down:
+  /// service::run_simulate on the fleet's shared --sweep-cache under the
+  /// workers' --max-point-cycles. A point a worker already published is
+  /// read back; any other is computed and published (write-fsync-rename)
+  /// so recovering workers get a warm hit. Empty response when the request
+  /// is not a simulate or the fleet has no disk tier.
   service::HandleResult promote(const service::Request& r);
 
   Supervisor& supervisor_;
@@ -126,16 +113,11 @@ class Router final : public service::RequestHandler {
   std::vector<std::unique_ptr<WorkerPool>> pools_;
   service::ShardedLruCache stale_;
 
-  std::mutex promote_mu_;  ///< single-writer gate for promotion compute
-
   std::atomic<std::uint64_t> forwarded_{0};
   std::atomic<std::uint64_t> failovers_{0};
-  std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> stale_serves_{0};
   std::atomic<std::uint64_t> unavailable_{0};
   std::atomic<std::uint64_t> promoted_{0};
-  std::atomic<std::uint64_t> chaos_drops_{0};
-  std::atomic<std::uint64_t> chaos_delays_{0};
 };
 
 }  // namespace am::fleet

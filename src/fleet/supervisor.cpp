@@ -159,25 +159,7 @@ void Supervisor::drain() {
   }
 }
 
-Admit Supervisor::try_acquire(std::size_t i) {
-  Worker& w = *workers_[i];
-  if (w.state.load(std::memory_order_acquire) != WorkerState::kUp) {
-    return Admit::kDown;
-  }
-  const int prev = w.inflight.fetch_add(1, std::memory_order_acq_rel);
-  if (prev >= config_.max_inflight) {
-    w.inflight.fetch_sub(1, std::memory_order_acq_rel);
-    return Admit::kFull;
-  }
-  return Admit::kOk;
-}
-
-void Supervisor::release(std::size_t i) {
-  workers_[i]->inflight.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void Supervisor::report_transport_failure(std::size_t i) {
-  workers_[i]->probe_asap.store(true, std::memory_order_release);
+void Supervisor::report_transport_failure() {
   cv_.notify_all();  // wake the tick thread early
 }
 
@@ -191,7 +173,6 @@ std::vector<Supervisor::WorkerStatus> Supervisor::status() const {
     s.pid = w->proc.pid();
     s.restarts = w->restarts;
     s.epoch = w->epoch.load(std::memory_order_acquire);
-    s.inflight = w->inflight.load(std::memory_order_acquire);
     s.consecutive_failures = w->consecutive_failures;
     out.push_back(s);
   }
@@ -271,18 +252,6 @@ void Supervisor::run_chaos(Clock::time_point now) {
       chaos_hangs_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (ChaosConfig::consume(chaos->kill_worker)) {
-    if (Worker* v = pick_victim()) {
-      v->proc.deliver(SIGKILL);
-      chaos_kills_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (ChaosConfig::consume(chaos->hang_worker)) {
-    if (Worker* v = pick_victim()) {
-      v->proc.deliver(SIGSTOP);
-      chaos_hangs_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
 }
 
 void Supervisor::tick_once() {
@@ -323,7 +292,6 @@ void Supervisor::tick_once() {
       }
       case WorkerState::kStarting: {
         if (w.proc.probe_ping(config_.probe_timeout_ms)) {
-          w.probe_asap.store(false, std::memory_order_release);
           w.state.store(WorkerState::kUp, std::memory_order_release);
           std::lock_guard<std::mutex> lock(mu_);
           w.consecutive_failures = 0;
@@ -345,7 +313,6 @@ void Supervisor::tick_once() {
         break;
       }
       case WorkerState::kUp: {
-        w.probe_asap.store(false, std::memory_order_release);
         if (!w.proc.probe_ping(config_.probe_timeout_ms)) {
           // Hung (SIGSTOP chaos, wedged loop) or died between reap and
           // probe. The deadline is the arbiter: kill and restart.

@@ -11,12 +11,11 @@
 //   breaker    circuit_failures consecutive spawns that die before ever
 //              answering a probe open the circuit: restarts pause for
 //              circuit_cooloff_ms, then one half-open spawn retries.
-//   chaos      the tick thread is also the chaos driver: it consumes the
-//              one-shot ChaosConfig counters and runs the periodic
+//   chaos      the tick thread also runs the periodic ChaosConfig
 //              kill/hang schedule, so fault injection is serialized with
 //              the state machine it attacks.
-// Routing-side admission (bounded per-worker in-flight counts) is exposed
-// through try_acquire/release; the Router calls them around each forward.
+// The Router forwards only to workers in state kUp and reports transport
+// failures back through report_transport_failure.
 #pragma once
 
 #include <atomic>
@@ -41,7 +40,7 @@ struct FleetConfig {
   /// Directory for per-worker unix sockets (worker-<i>.sock).
   std::string runtime_dir = "/tmp";
   /// Shared second-level disk cache (--sweep-cache format), passed to every
-  /// worker and consulted by the router's stale-serve path. Empty disables.
+  /// worker and read or filled by the router's promotion. Empty disables.
   std::string sweep_cache_dir;
   unsigned worker_threads = 2;
   /// am_serve --max-point-cycles (0 = auto, negative = off): the simulate
@@ -58,8 +57,6 @@ struct FleetConfig {
   int circuit_cooloff_ms = 10000;
   /// SIGTERM-to-exit budget per worker during drain before SIGKILL.
   int drain_timeout_ms = 10000;
-  /// Admission cap: in-flight requests per worker before load is shed.
-  int max_inflight = 64;
 
   /// Fault injection; not owned, may be null. Shared with tests/CLI.
   ChaosConfig* chaos = nullptr;
@@ -69,13 +66,6 @@ struct FleetConfig {
 /// the running executable, then ../tools/am_serve relative to it. Empty
 /// string when none exists.
 std::string find_worker_binary();
-
-/// Admission verdict for routing one request to one worker.
-enum class Admit : std::uint8_t {
-  kOk,    ///< acquired; caller must release()
-  kDown,  ///< worker not serving (down/starting/circuit-open/draining)
-  kFull,  ///< worker at max_inflight; candidate for load shedding
-};
 
 class Supervisor {
  public:
@@ -113,14 +103,10 @@ class Supervisor {
     return workers_[i]->proc.endpoint();
   }
 
-  /// Bounded-queue admission for one forward to worker @p i.
-  Admit try_acquire(std::size_t i);
-  void release(std::size_t i);
-
-  /// Router feedback: a forward to worker @p i failed at the transport
-  /// level. The next tick re-probes it immediately instead of trusting the
-  /// last healthy probe.
-  void report_transport_failure(std::size_t i);
+  /// Router feedback: a forward failed at the transport level. Wakes the
+  /// tick thread, so every worker is re-probed now instead of at the next
+  /// health interval.
+  void report_transport_failure();
 
   // --- introspection (stats panel / tests) ---------------------------------
   struct WorkerStatus {
@@ -128,7 +114,6 @@ class Supervisor {
     pid_t pid;
     std::uint64_t restarts;
     std::uint64_t epoch;
-    int inflight;
     int consecutive_failures;
   };
   std::vector<WorkerStatus> status() const;
@@ -151,8 +136,6 @@ class Supervisor {
     std::string socket_path;
     std::atomic<WorkerState> state{WorkerState::kDown};
     std::atomic<std::uint64_t> epoch{0};
-    std::atomic<int> inflight{0};
-    std::atomic<bool> probe_asap{false};
     // Tick-thread-owned (reads under mu_ for status()):
     int backoff_ms = 0;
     int consecutive_failures = 0;

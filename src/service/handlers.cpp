@@ -7,7 +7,6 @@
 
 #include "bench_core/sim_backend.hpp"
 #include "bench_core/sweep.hpp"
-#include "bench_core/sweep_io.hpp"
 #include "common/base64.hpp"
 #include "common/json.hpp"
 #include "guest/runner.hpp"
@@ -385,26 +384,6 @@ std::string run_simulate(const PointQuery& q, const std::string& disk_dir,
     return "";
   }
   return render_simulate_result(q, point.result);
-}
-
-std::string cached_simulate_result(const PointQuery& q,
-                                   const std::string& disk_dir) {
-  if (disk_dir.empty()) return "";
-  const sim::MachineConfig mc = sim::preset_by_name(q.machine);
-  if (q.threads > mc.cores) return "";
-  // The key run_sweep_point files run_simulate's point under: a SimBackend
-  // with default windows (the watchdog is not part of the key).
-  const std::string key = bench::sweep_cache_key(
-      bench::sim_backend_cache_identity(mc, bench::SimBackendOptions{}),
-      simulate_workload(q), simulate_seed(q));
-  const std::string path = bench::sweep_cache_path(disk_dir, key);
-  std::string bytes;
-  if (bench::sweep::read_file_with_retry(path, bytes) !=
-      bench::sweep::IoResult::kOk) {
-    return "";
-  }
-  const auto run = bench::parse_measured_run(bytes, key);
-  return run.has_value() ? render_simulate_result(q, *run) : "";
 }
 
 std::string ServiceCore::run_guest(const GuestQuery& q, std::string* error,

@@ -166,12 +166,6 @@ std::string run_simulate(const PointQuery& q, const std::string& disk_dir,
                          std::int64_t max_point_cycles, obs::TraceSink* trace,
                          std::string* error);
 
-/// The result object run_simulate would answer for @p q from the disk tier
-/// @p disk_dir alone (same key and file), or "" when it holds no valid
-/// entry. Runs and moves nothing: the fleet router's stale read.
-std::string cached_simulate_result(const PointQuery& q,
-                                   const std::string& disk_dir);
-
 /// The exact WorkloadConfig a simulate request runs (the workload half of
 /// its disk-tier key).
 bench::WorkloadConfig simulate_workload(const PointQuery& q);

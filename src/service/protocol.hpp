@@ -173,7 +173,6 @@ std::string make_error_response(const std::string& id,
 // codes name *serving-layer* conditions a client is expected to branch on
 // (retry, back off, shrink the request).
 namespace errcode {
-inline constexpr const char* kOverloaded = "overloaded";
 inline constexpr const char* kUnavailable = "unavailable";
 inline constexpr const char* kTimeout = "timeout";
 inline constexpr const char* kRequestTooLarge = "request_too_large";

@@ -8,8 +8,8 @@
 //     successes or structured error envelopes, never hangs or raw resets
 //     surfacing to the client as protocol garbage;
 //   - crashed workers rejoin; spawn->die loops open the circuit breaker;
-//   - full workers shed with `overloaded`; a dead shard with a cached
-//     answer serves stale instead of erroring.
+//   - a dead shard with a cached answer serves stale instead of erroring,
+//     and a dark fleet answers simulate from the shared disk tier.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <latch>
 #include <set>
 #include <string>
 #include <thread>
@@ -226,47 +227,6 @@ TEST(Fleet, SigkillMidLoadEveryRequestAnsweredAndWorkerRejoins) {
   }
 }
 
-TEST(Fleet, FullWorkersShedWithStructuredOverloaded) {
-  ASSERT_FALSE(serve_binary().empty());
-  static ChaosConfig chaos;  // outlives the router's forwarding threads
-  chaos.delay_response.store(-1);  // always delay: holds in-flight slots
-  chaos.delay_ms.store(400);
-  FleetConfig config = fast_config(1);
-  config.max_inflight = 1;
-  config.chaos = nullptr;  // supervisor side quiet; router side delays
-  RouterConfig router_config;
-  router_config.failover_retries = 0;
-  router_config.stale_capacity = 0;  // force the shed path, not stale
-  router_config.chaos = &chaos;
-  LiveFleet fleet(std::move(config), router_config);
-
-  std::atomic<int> overloaded{0};
-  std::atomic<int> ok{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 4; ++c) {
-    clients.emplace_back([&, c] {
-      const std::string line =
-          R"({"kind":"predict","prim":"FAA","threads":4,"id":"c)" +
-          std::to_string(c) + "\"}";
-      const auto r = fleet.handle(line);
-      if (r.ok) {
-        ok.fetch_add(1);
-      } else if (service::response_error_code(r.response) ==
-                 service::errcode::kOverloaded) {
-        overloaded.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  chaos.delay_response.store(0);
-
-  // One slot, four concurrent requests, each holding the slot ~400ms: at
-  // least one must have been shed, and every request got an answer.
-  EXPECT_GE(ok.load(), 1);
-  EXPECT_GE(overloaded.load(), 1);
-  EXPECT_EQ(ok.load() + overloaded.load(), 4);
-}
-
 TEST(Fleet, SpawnDeathLoopOpensCircuitBreaker) {
   FleetConfig config = fast_config(1);
   config.worker_binary = "/bin/false";  // exits immediately, never serves
@@ -428,6 +388,108 @@ TEST(Fleet, DeadFleetPromotesUnderTheFleetCycleBudget) {
   supervisor.drain();
 }
 
+std::uint64_t sweep_results(const char* source) {
+  return obs::metrics::default_registry()
+      .counter("am_sweep_point_results_total",
+               "Successful sweep-point results, by source",
+               {{"source", source}})
+      .value();
+}
+
+TEST(Fleet, DeadFleetServesAWorkerPublishedPointFromDisk) {
+  ASSERT_FALSE(serve_binary().empty());
+  FleetConfig config = fast_config(1);
+  config.restart_backoff_ms = 60000;  // stay down once killed
+  config.sweep_cache_dir = fresh_runtime_dir();
+  RouterConfig router_config;
+  router_config.failover_retries = 0;
+  router_config.stale_capacity = 0;  // no memory tier: only disk can answer
+  LiveFleet fleet(std::move(config), router_config);
+
+  // The worker computes the point and publishes it to the shared directory.
+  const std::string line =
+      R"({"kind":"simulate","machine":"test","prim":"CAS","threads":2,"seed":13,"id":"disk-1"})";
+  const auto served = fleet.handle(line);
+  ASSERT_TRUE(served.ok) << served.response;
+  EXPECT_EQ(fleet.router.forwarded(), 1u);
+
+  const auto status = fleet.supervisor.status();
+  ASSERT_GT(status[0].pid, 0);
+  ::kill(status[0].pid, SIGKILL);
+  ASSERT_TRUE(wait_until(
+      [&] { return fleet.supervisor.workers_up() == 0; }, 10000));
+
+  // The front reads the worker's entry back instead of running the point.
+  const std::uint64_t cache_before = sweep_results("cache");
+  const std::uint64_t executed_before = sweep_results("executed");
+  const auto from_disk = fleet.handle(line);
+  EXPECT_TRUE(from_disk.ok) << from_disk.response;
+  EXPECT_EQ(from_disk.response, served.response);
+  EXPECT_EQ(fleet.router.promoted(), 1u);
+  EXPECT_EQ(fleet.router.stale_serves(), 0u);
+  EXPECT_EQ(sweep_results("cache"), cache_before + 1);
+  EXPECT_EQ(sweep_results("executed"), executed_before);
+}
+
+TEST(Fleet, ConcurrentPromotionsOfOnePointAgree) {
+  // Workers that exit at once keep the fleet dark and no memory tier is
+  // kept, so every request below is a promotion, all of them on one disk
+  // key at once: each must answer what a worker answers, and the directory
+  // must end up holding that one entry and no leftover temp file.
+  FleetConfig config = fast_config(1);
+  config.worker_binary = "/bin/true";
+  config.restart_backoff_ms = 60000;
+  config.sweep_cache_dir = fresh_runtime_dir();
+  const std::string cache_dir = config.sweep_cache_dir;
+  Supervisor supervisor(std::move(config));
+  RouterConfig router_config;
+  router_config.failover_retries = 0;
+  router_config.stale_capacity = 0;
+  Router router(supervisor, router_config);
+  std::string error;
+  ASSERT_TRUE(supervisor.start(&error)) << error;
+
+  const std::string line =
+      R"({"kind":"simulate","machine":"test","prim":"FAA","threads":2,"seed":17,"id":"race-1"})";
+  const auto request = service::parse_request(line, &error);
+  ASSERT_TRUE(request.has_value()) << error;
+  service::ServiceConfig worker_cfg;
+  worker_cfg.metrics = false;
+  service::ServiceCore worker(worker_cfg);
+  std::string expected = worker.handle(*request, line, nullptr).response;
+  if (expected.empty() || expected.back() != '\n') expected += '\n';
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3;
+  std::atomic<int> mismatches{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&] {
+      start.arrive_and_wait();  // the first wave all miss the disk at once
+      for (int i = 0; i < kPerThread; ++i) {
+        if (router.handle(*request, line, nullptr).response != expected) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(router.promoted(),
+            static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(router.unavailable(), 0u);
+
+  std::vector<std::string> files;
+  for (const auto& e :
+       std::filesystem::recursive_directory_iterator(cache_dir)) {
+    if (e.is_regular_file()) files.push_back(e.path().filename().string());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_TRUE(files[0].ends_with(".json")) << files[0];
+  supervisor.drain();
+}
+
 TEST(Fleet, RouterScrapeRendersItsAndItsSupervisorsBooks) {
   ASSERT_FALSE(serve_binary().empty());
   LiveFleet fleet(fast_config(1));
@@ -454,6 +516,13 @@ TEST(Fleet, RouterScrapeRendersItsAndItsSupervisorsBooks) {
   EXPECT_EQ(obs::metrics::find_sample(samples, "am_fleet_restarts_total"),
             static_cast<double>(fleet.supervisor.total_restarts()));
   EXPECT_EQ(obs::metrics::find_sample(samples, "am_fleet_workers_up"), 1.0);
+  // Only rungs and faults that can fire are rendered: no shed rung, no
+  // dropped-connection or delayed-response fault.
+  for (const auto& sample : samples) {
+    for (const char* gone : {"_shed_", "_drops_", "_delays_"}) {
+      EXPECT_EQ(sample.name.find(gone), std::string::npos) << sample.name;
+    }
+  }
 }
 
 TEST(Fleet, ChaosKillScheduleKeepsFleetServing) {

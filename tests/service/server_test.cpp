@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench_core/backend.hpp"
+#include "bench_core/sweep.hpp"
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
@@ -173,8 +174,16 @@ TEST(ServiceCore, SecondCoreServesTheFirstCoresDiskTier) {
     if (e.path().extension() == ".json") entries.push_back(e.path());
   }
   ASSERT_EQ(entries.size(), 1u);
-  // The fleet's stale read finds the entry under the same key.
-  const std::string cached = cached_simulate_result(r.point, dir);
+  // The entry renders to the result object the core answered with.
+  const auto read_entry = [&r](const fs::path& path) -> std::string {
+    std::ifstream in(path);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    const auto run =
+        bench::parse_measured_run(bytes.str(), path.stem().string());
+    return run.has_value() ? render_simulate_result(r.point, *run) : "";
+  };
+  const std::string cached = read_entry(entries[0]);
   ASSERT_FALSE(cached.empty());
   EXPECT_NE(first.response.find(cached), std::string::npos);
 
@@ -201,7 +210,7 @@ TEST(ServiceCore, SecondCoreServesTheFirstCoresDiskTier) {
     EXPECT_EQ(sweep_results("cache"), cache_before + 1);
     EXPECT_EQ(sweep_results("executed"), executed_before + 1);
   }
-  EXPECT_FALSE(cached_simulate_result(r.point, dir).empty());  // rewritten
+  EXPECT_FALSE(read_entry(entries[0]).empty());  // rewritten
   fs::remove_all(dir);
 }
 

@@ -116,8 +116,8 @@ TEST(WriteAll, GivesUpOneStallAfterATcpPeerStopsReading) {
 
 TEST(Protocol, CodedErrorEnvelopeRoundTrips) {
   const std::string line =
-      make_error_response("req-9", errcode::kOverloaded, "try later");
-  EXPECT_EQ(response_error_code(line), errcode::kOverloaded);
+      make_error_response("req-9", errcode::kUnavailable, "try later");
+  EXPECT_EQ(response_error_code(line), errcode::kUnavailable);
   EXPECT_NE(line.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(line.find("\"id\":\"req-9\""), std::string::npos);
   EXPECT_NE(line.find("\"error\":\"try later\""), std::string::npos);

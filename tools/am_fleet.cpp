@@ -6,8 +6,10 @@
 // am-serve/1 protocol on the --listen endpoint. Requests route by canonical
 // form so each worker's LRU stays hot on its shard; when a shard's owner is
 // down the request hands off to a ring successor, and when nothing is up it
-// is served stale (router LRU, then the shared --sweep-cache disk tier) or
-// answered with a structured `overloaded`/`unavailable` error.
+// is served stale from the router's LRU, answered from the shared
+// --sweep-cache disk tier (simulate: an entry read, or the point computed
+// at the front and published), or answered with a structured `unavailable`
+// error.
 //
 //   am_fleet --workers=4 --listen=127.0.0.1:7789 --sweep-cache=results/cache
 //   am_fleet --workers=4 --chaos-kill-every-ms=2000   # self-inflicted chaos
@@ -40,8 +42,8 @@ int main(int argc, char** argv) {
   using am::CliParser;
   CliParser cli(
       "am_fleet supervisor: N am_serve workers behind a consistent-hash "
-      "router with health-checked restart, admission control and stale "
-      "serving");
+      "router with health-checked restart, failover, stale serving and a "
+      "shared disk tier");
   cli.add_flag("workers", "worker process count", "4", CliParser::FlagKind::kInt);
   cli.add_flag("listen", "front endpoint (host:port; port 0 = ephemeral)",
                "127.0.0.1:7789", CliParser::FlagKind::kEndpoint);
@@ -61,7 +63,8 @@ int main(int argc, char** argv) {
                "");
   cli.add_flag("sweep-cache",
                "shared second-level disk cache dir (--sweep-cache format; "
-               "workers promote, the router serves it stale)",
+               "workers fill it, and the router reads or fills it when every "
+               "candidate worker is down)",
                "");
   cli.add_flag("max-point-cycles",
                "per-worker simulate watchdog budget (0 = auto, negative = "
@@ -80,10 +83,6 @@ int main(int argc, char** argv) {
   cli.add_flag("circuit-cooloff-ms",
                "restart pause once the circuit is open", "10000",
                CliParser::FlagKind::kInt);
-  cli.add_flag("max-inflight",
-               "admission cap: in-flight requests per worker before "
-               "shedding",
-               "64", CliParser::FlagKind::kInt);
   cli.add_flag("failover-retries",
                "ring successors tried after the owner before degrading",
                "1", CliParser::FlagKind::kInt);
@@ -130,8 +129,6 @@ int main(int argc, char** argv) {
       static_cast<int>(std::max<std::int64_t>(1, cli.get_int("circuit-failures")));
   fleet_config.circuit_cooloff_ms =
       static_cast<int>(std::max<std::int64_t>(1, cli.get_int("circuit-cooloff-ms")));
-  fleet_config.max_inflight =
-      static_cast<int>(std::max<std::int64_t>(1, cli.get_int("max-inflight")));
   fleet_config.chaos = &chaos;
   fleet_config.max_point_cycles = cli.get_int("max-point-cycles");
 
@@ -167,7 +164,6 @@ int main(int argc, char** argv) {
       static_cast<int>(std::max<std::int64_t>(0, cli.get_int("failover-retries")));
   router_config.stale_capacity = static_cast<std::size_t>(
       std::max<std::int64_t>(0, cli.get_int("stale-capacity")));
-  router_config.chaos = &chaos;
   am::fleet::Router router(supervisor, router_config);
 
   am::service::ServerConfig server_config;

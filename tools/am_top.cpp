@@ -112,24 +112,17 @@ void render(const std::vector<PromSample>& s, const std::string& endpoint) {
                 value_or_zero(s, "am_fleet_worker_deaths_total"),
                 value_or_zero(s, "am_fleet_probe_failures_total"),
                 value_or_zero(s, "am_fleet_circuit_opens_total"));
-    std::printf("  routing    forwarded=%.0f failover=%.0f shed=%.0f "
-                "stale=%.0f promoted=%.0f unavailable=%.0f\n",
+    std::printf("  routing    forwarded=%.0f failover=%.0f stale=%.0f "
+                "promoted=%.0f unavailable=%.0f\n",
                 value_or_zero(s, "am_fleet_forwarded_total"),
                 value_or_zero(s, "am_fleet_failovers_total"),
-                value_or_zero(s, "am_fleet_shed_total"),
                 value_or_zero(s, "am_fleet_stale_serves_total"),
                 value_or_zero(s, "am_fleet_promoted_total"),
                 value_or_zero(s, "am_fleet_unavailable_total"));
-    const double chaos = value_or_zero(s, "am_fleet_chaos_kills_total") +
-                         value_or_zero(s, "am_fleet_chaos_hangs_total") +
-                         value_or_zero(s, "am_fleet_chaos_drops_total") +
-                         value_or_zero(s, "am_fleet_chaos_delays_total");
-    if (chaos > 0.0) {
-      std::printf("  chaos      kills=%.0f hangs=%.0f drops=%.0f delays=%.0f\n",
-                  value_or_zero(s, "am_fleet_chaos_kills_total"),
-                  value_or_zero(s, "am_fleet_chaos_hangs_total"),
-                  value_or_zero(s, "am_fleet_chaos_drops_total"),
-                  value_or_zero(s, "am_fleet_chaos_delays_total"));
+    const double kills = value_or_zero(s, "am_fleet_chaos_kills_total");
+    const double hangs = value_or_zero(s, "am_fleet_chaos_hangs_total");
+    if (kills + hangs > 0.0) {
+      std::printf("  chaos      kills=%.0f hangs=%.0f\n", kills, hangs);
     }
   }
   std::fflush(stdout);
