@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -54,6 +55,15 @@ namespace {
 
 using am::service::Endpoint;
 using am::service::ServiceClient;
+
+/// Removes the directory at @p path, if set, when it goes out of scope.
+struct OwnedDir {
+  std::string path;
+  ~OwnedDir() {
+    std::error_code ignored;
+    if (!path.empty()) std::filesystem::remove_all(path, ignored);
+  }
+};
 
 struct LoadResult {
   std::uint64_t requests = 0;
@@ -328,6 +338,7 @@ int main(int argc, char** argv) {
   std::string error;
   Endpoint endpoint;
   std::unique_ptr<am::service::ServiceCore> core;
+  OwnedDir fleet_dir;  // before supervisor: removed after the drain
   std::unique_ptr<am::fleet::Supervisor> supervisor;
   std::unique_ptr<am::fleet::Router> router;
   std::unique_ptr<am::service::Server> server;  // after router: dies first
@@ -361,6 +372,7 @@ int main(int argc, char** argv) {
         std::cerr << "bench_s1_service: cannot create fleet runtime dir\n";
         return 1;
       }
+      fleet_dir.path = runtime_tmpl;
       am::fleet::FleetConfig fleet_config;
       fleet_config.workers = static_cast<std::size_t>(fleet_workers);
       fleet_config.runtime_dir = runtime_tmpl;

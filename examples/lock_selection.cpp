@@ -72,9 +72,9 @@ static int run(int argc, const char* const* argv) {
 
   std::printf(
       "\nnotes:\n"
-      "  * the hardware-thread implementations of all four locks live in\n"
-      "    src/locks/spinlocks.hpp and pass the mutual-exclusion tests in\n"
-      "    tests/locks/spinlocks_test.cpp on any host;\n"
+      "  * each lock has one implementation, the simulator program above\n"
+      "    (src/locks/lock_programs.hpp); its mutual-exclusion check is\n"
+      "    tests/locks/lock_programs_test.cpp;\n"
       "  * bench_f7_casestudy repeats this study across a thread sweep\n"
       "    (--backend=sim:xeon | sim:knl).\n");
   return 0;

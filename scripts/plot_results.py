@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Plots the outputs produced by run_all_experiments.sh.
 
-Usage: scripts/plot_results.py [results-dir]
+Usage: scripts/plot_results.py [results-dir]   (exit 2 if it is missing)
 
 Three input kinds live in the results directory:
   *.csv  — the rendered result tables (one per bench binary);
@@ -240,6 +240,10 @@ def summarize(results):
 
 def main():
     results = sys.argv[1] if len(sys.argv) > 1 else "results"
+    if not os.path.isdir(results):
+        print(f"plot_results.py: no results directory {results!r}; "
+              "run scripts/run_all_experiments.sh first", file=sys.stderr)
+        return 2
     try:
         import matplotlib
         matplotlib.use("Agg")

@@ -53,16 +53,6 @@ constexpr bool needs_exclusive(Primitive p) noexcept {
   return p != Primitive::kLoad && p != Primitive::kFence;
 }
 
-/// Read-modify-write primitives (their result depends on the old value).
-constexpr bool is_rmw(Primitive p) noexcept {
-  return p == Primitive::kSwap || p == Primitive::kTas ||
-         p == Primitive::kFaa || p == Primitive::kCas ||
-         p == Primitive::kCasLoop;
-}
-
-/// Primitives that can fail and therefore may retry at the software level.
-constexpr bool can_fail(Primitive p) noexcept { return p == Primitive::kCas; }
-
 const char* to_string(Primitive p) noexcept;
 std::optional<Primitive> parse_primitive(const std::string& name) noexcept;
 

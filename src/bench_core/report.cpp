@@ -63,8 +63,7 @@ void write_workload(JsonWriter& w, const WorkloadConfig& c) {
       break;
   }
   w.kv("seed", c.seed);
-  w.kv("pin_order",
-       c.pin_order == PinOrder::kScatter ? "scatter" : "compact");
+  w.kv("pin_order", to_string(c.pin_order));
   w.kv("describe", c.describe());
   w.end_object();
 }

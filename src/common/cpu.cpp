@@ -66,8 +66,4 @@ double tsc_frequency_hz() {
   return hz;
 }
 
-double ticks_to_ns(std::uint64_t ticks) {
-  return static_cast<double>(ticks) * 1e9 / tsc_frequency_hz();
-}
-
 }  // namespace am

@@ -39,7 +39,4 @@ inline void do_not_optimize(T const& value) noexcept {
 /// (~10 ms calibration on first call, cached afterwards).
 double tsc_frequency_hz();
 
-/// Converts a tick delta to nanoseconds using the calibrated frequency.
-double ticks_to_ns(std::uint64_t ticks);
-
 }  // namespace am

@@ -13,7 +13,6 @@ const char* to_string(PinOrder order) noexcept {
   switch (order) {
     case PinOrder::kCompact: return "compact";
     case PinOrder::kScatter: return "scatter";
-    case PinOrder::kSmtFirst: return "smt-first";
   }
   return "?";
 }
@@ -116,28 +115,11 @@ std::vector<int> Topology::pin_sequence(PinOrder order) const {
                                 std::tuple(b.smt, b.core, b.package);
                        });
       break;
-    case PinOrder::kSmtFirst:
-      std::stable_sort(sorted.begin(), sorted.end(),
-                       [](const LogicalCpu& a, const LogicalCpu& b) {
-                         return std::tuple(a.package, a.core, a.smt) <
-                                std::tuple(b.package, b.core, b.smt);
-                       });
-      break;
   }
   std::vector<int> seq;
   seq.reserve(sorted.size());
   for (const auto& c : sorted) seq.push_back(c.os_id);
   return seq;
-}
-
-bool Topology::same_core(std::size_t a, std::size_t b) const {
-  const auto& ca = cpus_.at(a);
-  const auto& cb = cpus_.at(b);
-  return ca.package == cb.package && ca.core == cb.core;
-}
-
-bool Topology::same_package(std::size_t a, std::size_t b) const {
-  return cpus_.at(a).package == cpus_.at(b).package;
 }
 
 std::string Topology::describe() const {

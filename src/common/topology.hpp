@@ -27,7 +27,6 @@ struct LogicalCpu {
 enum class PinOrder {
   kCompact,  ///< fill cores of socket 0, then socket 1, SMT siblings last
   kScatter,  ///< round-robin across sockets first (maximises cross-socket traffic)
-  kSmtFirst, ///< pack SMT siblings together before moving to the next core
 };
 
 const char* to_string(PinOrder order) noexcept;
@@ -52,11 +51,6 @@ class Topology {
   /// Returns os_ids in placement order for @p order, suitable for pinning
   /// thread i to result[i % size].
   std::vector<int> pin_sequence(PinOrder order) const;
-
-  /// True when the two logical CPUs share a physical core (SMT siblings).
-  bool same_core(std::size_t a, std::size_t b) const;
-  /// True when the two logical CPUs are on the same package.
-  bool same_package(std::size_t a, std::size_t b) const;
 
   /// Human-readable one-line description, e.g. "2 packages x 18 cores x 2 SMT".
   std::string describe() const;

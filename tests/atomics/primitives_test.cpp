@@ -22,11 +22,6 @@ TEST(Primitives, Classification) {
   EXPECT_FALSE(needs_exclusive(Primitive::kLoad));
   EXPECT_TRUE(needs_exclusive(Primitive::kStore));
   EXPECT_TRUE(needs_exclusive(Primitive::kCas));
-  EXPECT_FALSE(is_rmw(Primitive::kLoad));
-  EXPECT_FALSE(is_rmw(Primitive::kStore));
-  EXPECT_TRUE(is_rmw(Primitive::kFaa));
-  EXPECT_TRUE(can_fail(Primitive::kCas));
-  EXPECT_FALSE(can_fail(Primitive::kCasLoop));
 }
 
 TEST(Execute, LoadObservesValue) {

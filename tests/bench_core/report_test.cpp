@@ -138,6 +138,23 @@ TEST(RunReport, InvalidLatencyTailSerializesAsNull) {
       doc->find("runs")->at(0)->find("energy")->find("package_j")->is_null());
 }
 
+TEST(RunReport, SpellsEachPinOrder) {
+  // A1 writes scatter runs into its report beside the compact default.
+  std::vector<RecordedRun> runs(2);
+  runs[0].workload.pin_order = PinOrder::kCompact;
+  runs[1].workload.pin_order = PinOrder::kScatter;
+  std::ostringstream os;
+  write_run_report(os, ReportMeta{}, nullptr, runs);
+  const auto doc = JsonValue::parse(os.str());
+  ASSERT_TRUE(doc.has_value());
+  const JsonValue* written = doc->find("runs");
+  ASSERT_EQ(written->size(), 2u);
+  EXPECT_EQ(written->at(0)->find("workload")->find("pin_order")->as_string(),
+            "compact");
+  EXPECT_EQ(written->at(1)->find("workload")->find("pin_order")->as_string(),
+            "scatter");
+}
+
 TEST(SimBackendObs, CarriesEvictionsAndPerPrimCounts) {
   // A working set far over the cache capacity forces capacity evictions.
   sim::MachineConfig cfg = sim::test_machine(2);

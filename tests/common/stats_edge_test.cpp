@@ -48,8 +48,7 @@ TEST(StatsEdge, PercentileOutOfRangeQClamps) {
 TEST(StatsEdge, SummarizeEmptyIsAllZeroFinite) {
   const Summary s = summarize(std::vector<double>{});
   EXPECT_EQ(s.count, 0u);
-  for (double v : {s.mean, s.stddev, s.min, s.max, s.p50, s.p90, s.p99,
-                   s.ci95_halfwidth()}) {
+  for (double v : {s.mean, s.stddev, s.min, s.max, s.p50, s.p90, s.p99}) {
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_EQ(v, 0.0);
   }
@@ -65,7 +64,6 @@ TEST(StatsEdge, SummarizeSingleton) {
   EXPECT_EQ(s.max, 7.5);
   EXPECT_EQ(s.p50, 7.5);
   EXPECT_EQ(s.p99, 7.5);
-  EXPECT_EQ(s.ci95_halfwidth(), 0.0);  // no CI from one observation
 }
 
 TEST(StatsEdge, SummarizePair) {
@@ -74,13 +72,6 @@ TEST(StatsEdge, SummarizePair) {
   EXPECT_EQ(s.mean, 12.0);
   EXPECT_NEAR(s.stddev, std::sqrt(8.0), 1e-12);  // sample stddev, n-1 = 1
   EXPECT_EQ(s.p50, 12.0);
-  EXPECT_GT(s.ci95_halfwidth(), 0.0);
-}
-
-TEST(StatsEdge, CoefficientOfVariationZeroMean) {
-  const std::vector<double> balanced{-1.0, 1.0};
-  EXPECT_EQ(coefficient_of_variation(balanced), 0.0);
-  EXPECT_EQ(coefficient_of_variation(std::vector<double>{}), 0.0);
 }
 
 TEST(StatsEdge, FairnessOnEmptyAndZeroShares) {
@@ -129,12 +120,6 @@ TEST(StatsEdge, LogHistogramSingleSample) {
     EXPECT_GE(v, 50.0) << "q=" << q;
     EXPECT_LE(v, 200.0) << "q=" << q;
   }
-}
-
-TEST(StatsEdge, GeometricMeanDegenerate) {
-  EXPECT_EQ(geometric_mean(std::vector<double>{}), 0.0);
-  EXPECT_EQ(geometric_mean(std::vector<double>{2.0, 0.0}), 0.0);
-  EXPECT_EQ(geometric_mean(std::vector<double>{-1.0, 4.0}), 0.0);
 }
 
 TEST(StatsEdge, EmptyRunStatsMeansAreFinite) {

@@ -48,34 +48,15 @@ TEST(PinSequence, ScatterAlternatesSockets) {
   }
 }
 
-TEST(PinSequence, SmtFirstPacksSiblings) {
-  const Topology t = Topology::synthetic(1, 2, 2);
-  const auto seq = t.pin_sequence(PinOrder::kSmtFirst);
-  ASSERT_EQ(seq.size(), 4u);
-  const auto& a = t.cpus()[static_cast<std::size_t>(seq[0])];
-  const auto& b = t.cpus()[static_cast<std::size_t>(seq[1])];
-  EXPECT_EQ(a.core, b.core);  // siblings adjacent
-}
-
 TEST(PinSequence, IsAlwaysAPermutation) {
   const Topology t = Topology::synthetic(2, 3, 2);
-  for (PinOrder o : {PinOrder::kCompact, PinOrder::kScatter,
-                     PinOrder::kSmtFirst}) {
+  for (PinOrder o : {PinOrder::kCompact, PinOrder::kScatter}) {
     auto seq = t.pin_sequence(o);
     std::sort(seq.begin(), seq.end());
     for (std::size_t i = 0; i < seq.size(); ++i) {
       EXPECT_EQ(seq[i], static_cast<int>(i)) << to_string(o);
     }
   }
-}
-
-TEST(Relations, SameCoreSamePackage) {
-  const Topology t = Topology::synthetic(2, 2, 2);
-  // Synthetic layout: index = smt * (packages*cores) + package*cores + core.
-  EXPECT_TRUE(t.same_core(0, 4));    // (p0,c0,smt0) vs (p0,c0,smt1)
-  EXPECT_FALSE(t.same_core(0, 1));   // different cores
-  EXPECT_TRUE(t.same_package(0, 1));
-  EXPECT_FALSE(t.same_package(0, 2));
 }
 
 TEST(Discover, ReturnsAtLeastOneCpu) {

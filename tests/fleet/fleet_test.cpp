@@ -50,12 +50,24 @@ std::string serve_binary() {
 #endif
 }
 
+/// Directories fresh_runtime_dir made, removed when the test binary exits:
+/// by then every fleet that used one has drained.
+struct MadeDirs {
+  std::vector<std::string> paths;
+  ~MadeDirs() {
+    std::error_code ignored;
+    for (const std::string& p : paths) std::filesystem::remove_all(p, ignored);
+  }
+};
+
 std::string fresh_runtime_dir() {
   static std::atomic<int> counter{0};
+  static MadeDirs made;
   const std::string dir = ::testing::TempDir() + "/am_fleet_test_" +
                           std::to_string(::getpid()) + "_" +
                           std::to_string(counter.fetch_add(1));
   ::mkdir(dir.c_str(), 0755);
+  made.paths.push_back(dir);
   return dir;
 }
 

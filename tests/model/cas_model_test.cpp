@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "model/cas_model.hpp"
 
 namespace am::model {
@@ -11,40 +9,6 @@ TEST(CasDeterministic, OneOverN) {
   EXPECT_DOUBLE_EQ(cas_success_deterministic(1), 1.0);
   EXPECT_DOUBLE_EQ(cas_success_deterministic(2), 0.5);
   EXPECT_DOUBLE_EQ(cas_success_deterministic(10), 0.1);
-}
-
-TEST(CasPoisson, FixedPointProperty) {
-  for (std::uint32_t n : {2u, 4u, 8u, 16u, 64u}) {
-    const double s = cas_success_poisson(n);
-    // s must satisfy s = exp(-s (n-1)).
-    EXPECT_NEAR(s, std::exp(-s * (n - 1)), 1e-6) << "n=" << n;
-    EXPECT_GT(s, 0.0);
-    EXPECT_LT(s, 1.0);
-  }
-  EXPECT_DOUBLE_EQ(cas_success_poisson(1), 1.0);
-}
-
-TEST(CasPoisson, BeatsDeterministicButSameShape) {
-  for (std::uint32_t n : {4u, 16u, 64u}) {
-    const double det = cas_success_deterministic(n);
-    const double poi = cas_success_poisson(n);
-    EXPECT_GT(poi, det) << "n=" << n;       // jitter helps a bit
-    EXPECT_LT(poi, 4.0 * det) << "n=" << n; // but it is still ~ln(n)/n
-  }
-}
-
-TEST(CasPoisson, MonotonicallyDecreasing) {
-  double prev = 1.0;
-  for (std::uint32_t n = 2; n <= 128; n *= 2) {
-    const double s = cas_success_poisson(n);
-    EXPECT_LT(s, prev);
-    prev = s;
-  }
-}
-
-TEST(CasLoop, AttemptsPerOp) {
-  EXPECT_DOUBLE_EQ(casloop_attempts_per_op(1), 1.0);
-  EXPECT_DOUBLE_EQ(casloop_attempts_per_op(8), 8.0);
 }
 
 }  // namespace

@@ -16,12 +16,15 @@
 //
 // SIGTERM/SIGINT drain the front server, then the whole fleet: workers get
 // SIGTERM, finish in-flight requests and exit; final stats print to stdout.
+// A runtime directory am_fleet made itself is removed after the drain; one
+// named with --runtime-dir stays.
 
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <csignal>
+#include <filesystem>
 #include <iostream>
 #include <string>
 
@@ -35,6 +38,16 @@
 namespace {
 
 extern "C" void on_signal(int) { am::service::Server::request_shutdown(); }
+
+/// Removes the directory at @p path, if set, when it goes out of scope.
+/// Declared before the Supervisor, so the workers are gone by then.
+struct OwnedDir {
+  std::string path;
+  ~OwnedDir() {
+    std::error_code ignored;
+    if (!path.empty()) std::filesystem::remove_all(path, ignored);
+  }
+};
 
 }  // namespace
 
@@ -59,7 +72,7 @@ int main(int argc, char** argv) {
                CliParser::FlagKind::kInt);
   cli.add_flag("runtime-dir",
                "directory for per-worker unix sockets (default: a fresh "
-               "/tmp/am_fleet.* dir)",
+               "/tmp/am_fleet.* dir, removed after the drain)",
                "");
   cli.add_flag("sweep-cache",
                "shared second-level disk cache dir (--sweep-cache format; "
@@ -133,6 +146,7 @@ int main(int argc, char** argv) {
   fleet_config.max_point_cycles = cli.get_int("max-point-cycles");
 
   std::string runtime_dir = cli.get("runtime-dir");
+  OwnedDir made_dir;
   if (runtime_dir.empty()) {
     char tmpl[] = "/tmp/am_fleet.XXXXXX";
     if (::mkdtemp(tmpl) == nullptr) {
@@ -140,6 +154,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     runtime_dir = tmpl;
+    made_dir.path = runtime_dir;
   } else {
     ::mkdir(runtime_dir.c_str(), 0755);  // best-effort; bind reports failure
   }
